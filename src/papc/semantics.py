@@ -27,6 +27,14 @@ The relations, and the transition label each one carries:
 Constants unfold through every relation except ``I``, where plain processes
 (constants and the inert term included) keep the empty self-loop untouched.
 All functions are pure; transition sets come back deterministically ordered.
+
+CP and CC come from one completion pass under a demand budget: steps whose
+demand can no longer be cancelled on the way to the root are never built.
+``system_steps`` runs it with an empty budget, so closed-system steps are
+derived directly rather than filtered out of ``all_steps``.  Interrupt
+choices multiply per running prefix, so I, CP, CC, ``all_steps`` and
+``system_steps`` all first check the same cap over the top-level parallel
+components, and raise ``CapExceeded`` instead of sampling.
 """
 
 from __future__ import annotations
@@ -80,8 +88,6 @@ __all__ = [
     "system_steps",
 ]
 
-# Interrupt choices multiply per running prefix, so enumeration is capped per
-# parallel component; exceeding it raises instead of sampling.
 DEFAULT_INTERRUPT_CAP = 16
 
 
@@ -306,45 +312,36 @@ _IStep = tuple[frozenset[int], Term]
 _EMPTY: frozenset[int] = frozenset()
 
 
-def _i(config: Term, cap: int) -> set[_IStep]:
+def _check_cap(config: Term, cap: int) -> None:
+    """Raise ``CapExceeded`` when a top-level parallel component of the
+    configuration runs more than ``cap`` prefixes."""
     if isinstance(config, Par):
-        out: set[_IStep] = set()
-        for (lids, ltarget), (rids, rtarget) in itertools.product(
-            _i(config.left, cap), _i(config.right, cap)
-        ):
-            out.add((lids | rids, Par(ltarget, rtarget)))
-        return out
-    count = frozen_prefix_count(config)
-    if count > cap:
+        _check_cap(config.left, cap)
+        _check_cap(config.right, cap)
+    elif frozen_prefix_count(config) > cap:
         raise CapExceeded(
-            f"component {format_term(config)} has {count} running prefixes; "
-            f"interrupt enumeration is capped at {cap}"
+            f"component {format_term(config)} has {frozen_prefix_count(config)} "
+            f"running prefixes; interrupt enumeration is capped at {cap}"
         )
-    return _i_component(config)
 
 
-def _i_component(config: Term) -> set[_IStep]:
-    if not config.ids:
+def _interrupts(config: Term, allowed: frozenset[int]) -> set[_IStep]:
+    """Every rollback choice among the running prefixes whose identifier is in
+    ``allowed``; the others stay put, so ``allowed >= config.ids`` gives the
+    whole relation."""
+    if config.ids.isdisjoint(allowed):
         return {(_EMPTY, config)}
     if isinstance(config, FrozenConsume):
-        return {
-            (frozenset((config.ident,)), PrefixConsume(config.action, config.cont)),
-            (_EMPTY, config),
-        }
+        return {(config.ids, PrefixConsume(config.action, config.cont)), (_EMPTY, config)}
     if isinstance(config, FrozenConserve):
-        return {
-            (frozenset((config.ident,)), PrefixConserve(config.action, config.cont)),
-            (_EMPTY, config),
-        }
-    if isinstance(config, (Sum, Par)):
-        node = type(config)
-        out: set[_IStep] = set()
+        return {(config.ids, PrefixConserve(config.action, config.cont)), (_EMPTY, config)}
+    node = type(config)  # Sum or Par, the only other nodes holding running prefixes
+    return {
+        (lids | rids, node(ltarget, rtarget))
         for (lids, ltarget), (rids, rtarget) in itertools.product(
-            _i_component(config.left), _i_component(config.right)
-        ):
-            out.add((lids | rids, node(ltarget, rtarget)))
-        return out
-    raise TypeError(f"not a configuration: {config!r}")
+            _interrupts(config.left, allowed), _interrupts(config.right, allowed)
+        )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -354,107 +351,94 @@ _CPStep = tuple[int, Action, frozenset[int], Term]
 _CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuation, target)
 
 
-def _cc(config: Term, cap: int) -> set[_CCStep]:
+def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set[_CCStep]]:
+    """The preemptive and conservative completions of ``config`` whose demand
+    is a subset of ``outer``.
+
+    A demand is always a subset of its own subterm's identifiers, and it only
+    loses identifiers at a parallel composition, those the sibling holds.
+    With ``outer`` the identifiers held by the parallel siblings of every
+    enclosing composition, a step demanding anything else can never reach
+    the root demanding nothing, so it is pruned: the interrupts that would
+    add such an identifier are not enumerated at all.  ``outer = config.ids``
+    prunes nothing.
+    """
     if not config.ids:
-        return set()
+        return set(), set()
+    if isinstance(config, FrozenConsume):
+        return {(config.ident, config.action, _EMPTY, config.cont)}, set()
     if isinstance(config, FrozenConserve):
         rearmed = PrefixConserve(config.action, config.cont)
-        return {(config.ident, config.action, _EMPTY, config.cont, rearmed)}
-    if isinstance(config, FrozenConsume):
-        return set()
+        return set(), {(config.ident, config.action, _EMPTY, config.cont, rearmed)}
+    left, right = config.left, config.right
+    cp: set[_CPStep] = set()
+    cc: set[_CCStep] = set()
     if isinstance(config, Sum):
-        out: set[_CCStep] = set()
-        for ident, action, demanded, cont, target in _cc(config.left, cap):
-            for interrupted, sibling in _i(config.right, cap):
-                out.add((ident, action, demanded | interrupted, cont,
-                         Sum(target, sibling)))
-        for ident, action, demanded, cont, target in _cc(config.right, cap):
-            for interrupted, sibling in _i(config.left, cap):
-                out.add((ident, action, demanded | interrupted, cont,
-                         Sum(sibling, target)))
-        return out
-    if isinstance(config, Par):
-        out = set()
-        for ident, action, demanded, cont, target in _cc(config.left, cap):
-            out.add((ident, action, demanded, cont, Par(target, config.right)))
-        for ident, action, demanded, cont, target in _cc(config.right, cap):
-            out.add((ident, action, demanded, cont, Par(config.left, target)))
-        return out
-    return set()
-
-
-def _cp(config: Term, cap: int) -> set[_CPStep]:
-    if not config.ids:
-        return set()
-    if isinstance(config, FrozenConsume):
-        return {(config.ident, config.action, _EMPTY, config.cont)}
-    if isinstance(config, FrozenConserve):
-        return set()
-    if isinstance(config, Sum):
-        out: set[_CPStep] = set()
-        # the losing summand disappears and all its running actions are demanded
-        for ident, action, demanded, target in _cp(config.left, cap):
-            out.add((ident, action, demanded | config.right.ids, target))
-        for ident, action, demanded, target in _cp(config.right, cap):
-            out.add((ident, action, demanded | config.left.ids, target))
-        return out
-    if isinstance(config, Par):
-        left, right = config.left, config.right
-        cp_left, cp_right = _cp(left, cap), _cp(right, cap)
-        cc_left, cc_right = _cc(left, cap), _cc(right, cap)
-        i_left, i_right = _i(left, cap), _i(right, cap)
-        out = set()
+        # the losing summand disappears: a preemptive winner demands all its
+        # running actions (so fits the budget only if they do), a
+        # conservative one those it chose to interrupt
+        for this, other, flip in ((left, right, False), (right, left, True)):
+            this_cp, this_cc = _completions(this, outer)
+            if other.ids <= outer:
+                for ident, action, demanded, target in this_cp:
+                    cp.add((ident, action, demanded | other.ids, target))
+            choices = _interrupts(other, other.ids & outer) if this_cc else ()
+            for ident, action, demanded, cont, target in this_cc:
+                for interrupted, rest in choices:
+                    cc.add((ident, action, demanded | interrupted, cont,
+                            Sum(rest, target) if flip else Sum(target, rest)))
+        return cp, cc
+    cp_left, cc_left = _completions(left, outer | right.ids)
+    cp_right, cc_right = _completions(right, outer | left.ids)
+    for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
+                                          (cp_right, cc_right, left, True)):
         # a completion on one side; the other side interrupts at least the
         # demanded actions it hosts, and demands satisfied inside vanish
-        for ident, action, demanded, target in cp_left:
-            required = right.ids & demanded
-            for interrupted, sibling in i_right:
+        choices_for: dict[frozenset[int], set[_IStep]] = {}
+        for ident, action, demanded, target in this_cp:
+            required = other.ids & demanded
+            allowed = other.ids & (demanded | outer)
+            choices = choices_for.get(allowed)
+            if choices is None:
+                choices = choices_for[allowed] = _interrupts(other, allowed)
+            for interrupted, rest in choices:
                 if interrupted >= required:
-                    visible = (demanded | interrupted) - (demanded & right.ids)
-                    out.add((ident, action, visible, Par(target, sibling)))
-        for ident, action, demanded, target in cp_right:
-            required = left.ids & demanded
-            for interrupted, sibling in i_left:
-                if interrupted >= required:
-                    visible = (demanded | interrupted) - (demanded & left.ids)
-                    out.add((ident, action, visible, Par(sibling, target)))
-        # coupled preemptive completions: shared demands cancel out
-        for lident, laction, ldem, ltarget in cp_left:
-            if laction.is_tau:
-                continue
-            partner = complement(laction)
-            for rident, raction, rdem, rtarget in cp_right:
-                if rident == lident and raction == partner:
-                    out.add((lident, TAU, (ldem | rdem) - (ldem & rdem),
-                             Par(ltarget, rtarget)))
-        # coupled conservative completions with nothing demanded: both
-        # continuations land in parallel at this level
-        for lident, laction, ldem, lcont, ltarget in cc_left:
-            if ldem:
-                continue
-            partner = complement(laction)
-            for rident, raction, rdem, rcont, rtarget in cc_right:
-                if rident == lident and raction == partner and not rdem:
-                    out.add((lident, TAU, _EMPTY,
-                             Par(Par(Par(ltarget, rtarget), lcont), rcont)))
-        # mixed coupling: the conservative side's demands must all be covered
-        # by the preemptive side's, and only the difference stays visible
-        for lident, laction, ldem, lcont, ltarget in cc_left:
-            partner = complement(laction)
-            for rident, raction, rdem, rtarget in cp_right:
-                if rident == lident and raction == partner and ldem <= rdem:
-                    out.add((lident, TAU, rdem - ldem,
-                             Par(Par(ltarget, rtarget), lcont)))
-        for lident, laction, ldem, ltarget in cp_left:
-            if laction.is_tau:
-                continue
-            partner = complement(laction)
-            for rident, raction, rdem, rcont, rtarget in cc_right:
-                if rident == lident and raction == partner and rdem <= ldem:
-                    out.add((lident, TAU, ldem - rdem,
-                             Par(Par(ltarget, rtarget), rcont)))
-        return out
-    return set()
+                    cp.add((ident, action, (demanded | interrupted) - required,
+                            Par(rest, target) if flip else Par(target, rest)))
+        for ident, action, demanded, cont, target in this_cc:
+            if demanded <= outer:
+                cc.add((ident, action, demanded, cont,
+                        Par(other, target) if flip else Par(target, other)))
+    # coupled preemptive completions: shared demands cancel out
+    for lident, laction, ldem, ltarget in cp_left:
+        if laction.is_tau:
+            continue
+        partner = complement(laction)
+        for rident, raction, rdem, rtarget in cp_right:
+            visible = ldem ^ rdem
+            if rident == lident and raction == partner and visible <= outer:
+                cp.add((lident, TAU, visible, Par(ltarget, rtarget)))
+    # coupled conservative completions with nothing demanded: both
+    # continuations land in parallel at this level
+    for lident, laction, ldem, lcont, ltarget in cc_left:
+        if ldem:
+            continue
+        partner = complement(laction)
+        for rident, raction, rdem, rcont, rtarget in cc_right:
+            if rident == lident and raction == partner and not rdem:
+                cp.add((lident, TAU, _EMPTY,
+                        Par(Par(Par(ltarget, rtarget), lcont), rcont)))
+    # mixed coupling: the conservative side's demands must all be covered by
+    # the preemptive side's, and only the difference stays visible, within
+    # the budget
+    for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
+        for ident, action, cdem, cont, ctarget in this_cc:
+            partner = complement(action)
+            for pident, paction, pdem, ptarget in other_cp:
+                if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
+                    pair = Par(ptarget, ctarget) if flip else Par(ctarget, ptarget)
+                    cp.add((ident, TAU, pdem - cdem, Par(pair, cont)))
+    return cp, cc
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +466,21 @@ def interrupt_steps(
 ) -> tuple[Transition, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
-    steps = _i(config, interrupt_cap)
+    _check_cap(config, interrupt_cap)
+    steps = _interrupts(config, config.ids)
     return _sorted_transitions(config, ((Interrupt(ids), t) for ids, t in steps))
+
+
+def _preemptive(config: Term, steps: Iterable[_CPStep]) -> tuple[Transition, ...]:
+    return _sorted_transitions(
+        config, ((CompletePreemptive(i, a, n), t) for i, a, n, t in steps)
+    )
+
+
+def _conservative(config: Term, steps: Iterable[_CCStep]) -> tuple[Transition, ...]:
+    return _sorted_transitions(
+        config, ((CompleteConservative(i, a, n, c), t) for i, a, n, c, t in steps)
+    )
 
 
 def preemptive_completions(
@@ -494,10 +491,8 @@ def preemptive_completions(
 ) -> tuple[Transition, ...]:
     """Every consuming completion, including coupled tau completions."""
     del defs  # completions fire on running prefixes only, never on constants
-    steps = _cp(config, interrupt_cap)
-    return _sorted_transitions(
-        config, ((CompletePreemptive(i, a, n), t) for i, a, n, t in steps)
-    )
+    _check_cap(config, interrupt_cap)
+    return _preemptive(config, _completions(config, config.ids)[0])
 
 
 def conservative_completions(
@@ -508,10 +503,8 @@ def conservative_completions(
 ) -> tuple[Transition, ...]:
     """Every re-arming completion, the continuation riding in the label."""
     del defs
-    steps = _cc(config, interrupt_cap)
-    return _sorted_transitions(
-        config, ((CompleteConservative(i, a, n, c), t) for i, a, n, c, t in steps)
-    )
+    _check_cap(config, interrupt_cap)
+    return _conservative(config, _completions(config, config.ids)[1])
 
 
 def all_steps(
@@ -520,14 +513,14 @@ def all_steps(
     *,
     interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
 ) -> tuple[Transition, ...]:
-    """The union of the four relations, deterministically ordered."""
-    out = (
-        handshake_steps(config, defs)
-        + interrupt_steps(config, interrupt_cap=interrupt_cap)
-        + preemptive_completions(config, interrupt_cap=interrupt_cap)
-        + conservative_completions(config, interrupt_cap=interrupt_cap)
-    )
-    return tuple(sorted(set(out), key=transition_sort_key))
+    """The union of the four relations, deterministically ordered.
+
+    The relation comes first in the sort key, so the four sorted tuples
+    concatenate in order."""
+    starts = handshake_steps(config, defs)
+    interrupts = interrupt_steps(config, interrupt_cap=interrupt_cap)
+    cp, cc = _completions(config, config.ids)
+    return starts + interrupts + _preemptive(config, cp) + _conservative(config, cc)
 
 
 def is_system_step(t: Transition) -> bool:
@@ -545,6 +538,12 @@ def system_steps(
     *,
     interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
 ) -> tuple[Transition, ...]:
-    """The observable subset of ``all_steps`` for a closed system."""
-    return tuple(t for t in all_steps(config, defs, interrupt_cap=interrupt_cap)
-                 if is_system_step(t))
+    """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
+    directly: completions run under an empty demand budget."""
+    # starts before the cap check, as in all_steps, so the same error wins
+    starts = [(Handshake(i, a), t) for i, a, t in _h(config, defs, frozenset()) if a.is_tau]
+    _check_cap(config, interrupt_cap)
+    cp, _ = _completions(config, _EMPTY)
+    return _sorted_transitions(config, starts + [
+        (CompletePreemptive(i, a, n), t) for i, a, n, t in cp if a.is_tau
+    ])

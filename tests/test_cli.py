@@ -103,8 +103,9 @@ def test_steps_interrupt_blowup_exits_two(tmp_path):
     model = tmp_path / "wide.papc"
     wide = " + ".join(f"[a#{i}].0" for i in range(1, 18))
     model.write_text(f"system := {wide};")
-    code, _ = run(["steps", str(model)])
-    assert code == 2  # enumeration cap, a bound like any other
+    for argv in (["steps"], ["steps", "--mode", "system"], ["lts", "--mode", "system"]):
+        code, _ = run([argv[0], str(model), *argv[1:]])
+        assert code == 2, argv  # enumeration cap, a bound like any other
 
 
 # ---------------------------------------------------------------------------

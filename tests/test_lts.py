@@ -1,5 +1,7 @@
 """Bounded state-space construction, statistics and exports."""
 
+import hashlib
+
 import pytest
 
 from papc.lts import Bounds, build, export, stats
@@ -100,6 +102,16 @@ def test_exports_are_deterministic():
 
     first, second = snapshot(), snapshot()
     assert first == second
+
+
+def test_system_mode_exports_match_the_golden_digests():
+    lts = build(parse_process("C | A | B"), DEFS,
+                Bounds(max_states=300, step_mode="system"))
+    assert (len(lts.states), len(lts.edges)) == (300, 621)
+    assert hashlib.sha256(export(lts, "aut")).hexdigest() == (
+        "2693a2a27a72f9b688cc13f651f655e10475fe1bd614e8d2d513ec1df601cdd7")
+    assert hashlib.sha256(export(lts, "json")).hexdigest() == (
+        "9c4979f4822846d7238067d644f7969b3a2eae7da5ea5132be741c37ac6b0cc1")
 
 
 def test_aut_shape():

@@ -160,6 +160,13 @@ def test_interrupt_cap_is_per_component():
         interrupt_steps(parse_process(deep), interrupt_cap=16)
 
 
+@pytest.mark.parametrize("derive", [preemptive_completions, conservative_completions])
+def test_completions_check_the_interrupt_cap_up_front(derive):
+    deep = " + ".join(f"[a#{i}].0" for i in range(1, 18))
+    with pytest.raises(CapExceeded):
+        derive(parse_process(deep), interrupt_cap=16)
+
+
 # ---------------------------------------------------------------------------
 # preemptive completions
 
@@ -254,6 +261,15 @@ def test_system_steps_when_everything_is_running():
 
 def test_unsynchronized_start_is_not_a_system_step():
     assert system_steps(parse_process("a.0")) == ()
+
+
+def test_system_steps_share_an_identifier_across_nesting_levels():
+    # identifier 1 runs at two nesting levels: the inner tau completion may
+    # interrupt [a#1] beside it, and the outer composition cancels that
+    # demand by interrupting [~a#1]
+    config = parse_process("[a#1].0 | ([b#2].0 | [~b#2].0) | [~a#1].0")
+    assert (CompletePreemptive(2, TAU, frozenset()),
+            parse_process("a.0 | (0 | 0) | ~a.0")) in labelled(system_steps(config))
 
 
 def test_transition_order_is_deterministic():
