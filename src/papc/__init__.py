@@ -20,8 +20,6 @@ from .syntax import (
     TAU,
     complement,
     Term,
-    Process,
-    Configuration,
     Nil,
     NIL,
     PrefixConsume,
@@ -33,6 +31,7 @@ from .syntax import (
     FrozenConserve,
     Hole,
     HOLE,
+    subterms,
     is_process,
     format_term,
     format_action,
@@ -51,7 +50,6 @@ from .semantics import (
     Label,
     Transition,
     label_text,
-    id_set,
     actions_at,
     rename_id,
     fresh_id,

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
-from .errors import CapExceeded, NoRoot, PapcError, UsageError
+from .errors import CapExceeded, NoRoot, PapcError, ParseError, UsageError
 from .equivalence import NOT_BISIMILAR, UNKNOWN, bisimilar
 from .lts import Bounds, build, export, stats
 from .parsing import parse_model, parse_process
@@ -187,33 +187,33 @@ def cmd_repl(args, out: TextIO, in_stream: Optional[TextIO] = None) -> int:
 def cmd_replay(args, out: TextIO) -> int:
     model = load_model(args.model)
     with open(args.transcript, "r", encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.strip()]
-    if not records:
+        lines = [(n, line) for n, line in enumerate(handle, 1) if line.strip()]
+    if not lines:
         print("empty transcript", file=out)
         return EXIT_FAIL
-    current = parse_process(records[0]["config"])
-    for i, record in enumerate(records):
-        expected = parse_process(record["config"])
-        if expected != current:
-            print(f"step {i}: expected {format_term(expected)}, "
-                  f"replay reached {format_term(current)}", file=out)
-            return EXIT_FAIL
-        if "label" not in record:
-            break
-        wanted = record["label"]
-        next_config = (parse_process(records[i + 1]["config"])
-                       if i + 1 < len(records) else None)
-        candidates = [t for t in all_steps(current, model.definitions)
-                      if label_text(t.label) == wanted]
-        if next_config is not None:
-            candidates = [t for t in candidates if t.target == next_config]
-        if not candidates:
+    configs, labels = [], []
+    for n, line in lines:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"transcript record is not JSON: {exc.msg}", n, exc.colno) from None
+        if not isinstance(record, dict) or not isinstance(record.get("config"), str):
+            raise ParseError("transcript record has no 'config' text", n)
+        last = n == lines[-1][0]
+        if ("label" in record) == last:
+            raise ParseError("transcript record carries a label but has no successor" if last
+                             else "transcript record has a successor but no label", n)
+        configs.append(parse_process(record["config"]))
+        labels.append(record.get("label"))
+    current = configs[0]
+    for i, (wanted, target) in enumerate(zip(labels, configs[1:])):
+        if not any(label_text(t.label) == wanted and t.target == target
+                   for t in all_steps(current, model.definitions)):
             print(f"step {i}: no transition {wanted!r} to the recorded successor "
                   f"from {format_term(current)}", file=out)
             return EXIT_FAIL
-        current = candidates[0].target
-    print(f"replayed {len(records) - 1} step(s) from {format_term(parse_process(records[0]['config']))}",
-          file=out)
+        current = target
+    print(f"replayed {len(configs) - 1} step(s) from {format_term(configs[0])}", file=out)
     return EXIT_OK
 
 

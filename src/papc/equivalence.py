@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import IllFormedPlacement, ParseError
+from .errors import IllFormedPlacement
 from .lts import Bounds
 from .semantics import (
     DEFAULT_INTERRUPT_CAP,
@@ -36,6 +36,7 @@ from .syntax import (
     Action,
     Definitions,
     EMPTY_DEFINITIONS,
+    HOLE,
     Hole,
     NIL,
     Par,
@@ -44,7 +45,9 @@ from .syntax import (
     Sum,
     Term,
     action_names_of,
+    check_context,
     format_term,
+    hole_count,
 )
 
 __all__ = [
@@ -387,39 +390,20 @@ def verify_witness(
 # contexts
 
 
-def hole_count(term: Term) -> int:
-    if isinstance(term, Hole):
-        return 1
-    if isinstance(term, (Sum, Par)):
-        return hole_count(term.left) + hole_count(term.right)
-    if isinstance(term, (PrefixConsume, PrefixConserve)):
-        return hole_count(term.cont)
-    return 0
-
-
 def apply_context(context: Term, filler: Term) -> Term:
     """Replace the unique hole of a process-shaped context by ``filler``.
 
-    Raises IllFormedPlacement when the filler carries running prefixes into
-    a position (under a prefix) where only plain processes fit.
+    Raises ParseError on a non-context, and IllFormedPlacement when the filler
+    carries running prefixes under a prefix, where only plain processes fit.
     """
-    if hole_count(context) != 1:
-        raise ParseError(f"a context needs exactly one hole, found {hole_count(context)}")
+    check_context(context)
     return _fill(context, filler)
 
 
 def _fill(term: Term, filler: Term) -> Term:
     if isinstance(term, Hole):
         return filler
-    if isinstance(term, Sum):
-        return Sum(_fill(term.left, filler), _fill(term.right, filler))
-    if isinstance(term, Par):
-        return Par(_fill(term.left, filler), _fill(term.right, filler))
-    if isinstance(term, PrefixConsume):
-        return PrefixConsume(term.action, _fill(term.cont, filler))
-    if isinstance(term, PrefixConserve):
-        return PrefixConserve(term.action, _fill(term.cont, filler))
-    return term
+    return term.rebuild([_fill(c, filler) for c in term.children()])
 
 
 def random_context(rng: random.Random, alphabet: Sequence[str], max_depth: int = 3) -> Term:
@@ -431,30 +415,25 @@ def random_context(rng: random.Random, alphabet: Sequence[str], max_depth: int =
     def rand_action() -> Action:
         return Action(rng.choice(names), rng.random() < 0.5)
 
+    nodes = (Sum, Par, PrefixConsume, PrefixConserve)
+
     def rand_process(depth: int) -> Term:
         if depth <= 0 or rng.random() < 0.3:
             return NIL
-        op = rng.randrange(4)
-        if op == 0:
-            return Sum(rand_process(depth - 1), rand_process(depth - 1))
-        if op == 1:
-            return Par(rand_process(depth - 1), rand_process(depth - 1))
-        if op == 2:
-            return PrefixConsume(rand_action(), rand_process(depth - 1))
-        return PrefixConserve(rand_action(), rand_process(depth - 1))
+        node = nodes[rng.randrange(4)]
+        if node in (Sum, Par):
+            return node(rand_process(depth - 1), rand_process(depth - 1))
+        return node(rand_action(), rand_process(depth - 1))
 
     def rand_ctx(depth: int) -> Term:
         if depth <= 0 or rng.random() < 0.25:
-            return Hole()
-        op = rng.randrange(4)
-        if op in (0, 1):
-            node = Sum if op == 0 else Par
-            if rng.random() < 0.5:
-                return node(rand_ctx(depth - 1), rand_process(depth - 1))
-            return node(rand_process(depth - 1), rand_ctx(depth - 1))
-        if op == 2:
-            return PrefixConsume(rand_action(), rand_ctx(depth - 1))
-        return PrefixConserve(rand_action(), rand_ctx(depth - 1))
+            return HOLE
+        node = nodes[rng.randrange(4)]
+        if node not in (Sum, Par):
+            return node(rand_action(), rand_ctx(depth - 1))
+        if rng.random() < 0.5:
+            return node(rand_ctx(depth - 1), rand_process(depth - 1))
+        return node(rand_process(depth - 1), rand_ctx(depth - 1))
 
     return rand_ctx(max_depth)
 

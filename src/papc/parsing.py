@@ -32,18 +32,21 @@ from .syntax import (
     Definitions,
     FrozenConserve,
     FrozenConsume,
-    Hole,
     Par,
     PrefixConserve,
     PrefixConsume,
     Sum,
     Term,
+    check_context,
     is_process,
 )
 
 __all__ = ["parse_process", "parse_context", "parse_definitions", "parse_model"]
 
 _RESERVED = "tau"
+
+# the idle and the running prefix node for each separator
+_PREFIX_NODES = {".": (PrefixConsume, FrozenConsume), ":": (PrefixConserve, FrozenConserve)}
 
 
 @dataclass(frozen=True)
@@ -186,32 +189,26 @@ class _Parser:
                 self.next()
                 return HOLE
             return self.parse_frozen()
-        if tok.kind == "~":
-            action = self.parse_action()
-            return self.finish_prefix(action)
+        if tok.kind == "~" or tok.kind == "name" and self.peek(1).kind in _PREFIX_NODES:
+            return self.finish_prefix(self.parse_action())
         if tok.kind == "name":
-            if self.peek(1).kind in (".", ":"):
-                action = self.parse_action()
-                return self.finish_prefix(action)
             self.next()
             if tok.text == _RESERVED:
                 raise ParseError("tau is not a process", tok.line, tok.column)
             return Const(tok.text)
         raise self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
 
-    def finish_prefix(self, action: Action) -> Term:
+    def finish_prefix(self, action: Action, *ident: int) -> Term:
+        """The separator and continuation after an action, or after the
+        ``[action#ident]`` of a running prefix when ``ident`` is given."""
         tok = self.peek()
-        if tok.kind == ".":
-            self.next()
-            return self.make_node(PrefixConsume, tok, action, self.parse_prefix())
-        if tok.kind == ":":
-            self.next()
-            return self.make_node(PrefixConserve, tok, action, self.parse_prefix())
-        raise self.fail("an action must be followed by '.' or ':'")
-
-    def make_node(self, node, tok: _Token, *args) -> Term:
+        if tok.kind not in _PREFIX_NODES:
+            what = "a running prefix" if ident else "an action"
+            raise self.fail(f"{what} must be followed by '.' or ':'")
+        self.next()
+        cont = self.parse_prefix()
         try:
-            return node(*args)
+            return _PREFIX_NODES[tok.kind][bool(ident)](action, *ident, cont)
         except IllFormedPlacement as exc:
             raise ParseError(str(exc), tok.line, tok.column) from None
 
@@ -224,14 +221,7 @@ class _Parser:
         if ident < 1:
             raise ParseError("running-action identifiers start at 1", num.line, num.column)
         self.expect("]")
-        tok = self.peek()
-        if tok.kind == ".":
-            self.next()
-            return self.make_node(FrozenConsume, tok, action, ident, self.parse_prefix())
-        if tok.kind == ":":
-            self.next()
-            return self.make_node(FrozenConserve, tok, action, ident, self.parse_prefix())
-        raise self.fail("a running prefix must be followed by '.' or ':'")
+        return self.finish_prefix(action, ident)
 
     def parse_bindings(self) -> list[tuple[_Token, Term]]:
         out: list[tuple[_Token, Term]] = []
@@ -260,55 +250,20 @@ def parse_context(text: str) -> Term:
     parser = _Parser(text, allow_hole=True)
     term = parser.parse_par()
     parser.expect("eof")
-    holes = _count_holes(term)
-    if holes != 1:
-        raise ParseError(f"a context needs exactly one hole, found {holes}")
-    if term.ids:
-        raise ParseError("contexts are process-shaped; no running prefixes allowed")
+    check_context(term)
     return term
 
 
-def _count_holes(term: Term) -> int:
-    if isinstance(term, Hole):
-        return 1
-    if isinstance(term, (Sum, Par)):
-        return _count_holes(term.left) + _count_holes(term.right)
-    if isinstance(term, (PrefixConsume, PrefixConserve, FrozenConsume, FrozenConserve)):
-        return _count_holes(term.cont)
-    return 0
-
-
-def parse_definitions(text: str) -> Definitions:
-    """Parse ``Name := process ;`` lines into a definitions set.
-
-    Bodies must be plain processes; rebinding a name raises
-    DuplicateDefinition.
-    """
-    bindings: dict[str, Term] = {}
-    for name, body in _Parser(text).parse_bindings():
-        if name.text in bindings:
-            raise DuplicateDefinition(f"constant {name.text!r} is defined twice")
-        if not is_process(body):
-            raise ParseError(
-                f"definition body of {name.text!r} must be a plain process",
-                name.line, name.column,
-            )
-        bindings[name.text] = body
-    return Definitions(bindings)
-
-
-def parse_model(text: str) -> tuple[Definitions, Optional[Term]]:
-    """Parse a model file: defining equations plus an optional ``system`` root.
-
-    The ``system`` entry names the initial configuration and may contain
-    running prefixes; every other body must be a plain process.
-    """
+def _parse_equations(text: str, root_name: Optional[str]) -> tuple[Definitions, Optional[Term]]:
+    """The binding loop shared by ``parse_definitions`` and ``parse_model``:
+    the equation named ``root_name`` becomes the root, every other body must
+    be a plain process, and no name may be bound twice."""
     bindings: dict[str, Term] = {}
     root: Optional[Term] = None
     for name, body in _Parser(text).parse_bindings():
-        if name.text == "system":
+        if name.text == root_name:
             if root is not None:
-                raise DuplicateDefinition("the model declares 'system' twice")
+                raise DuplicateDefinition(f"the model declares {root_name!r} twice")
             root = body
             continue
         if name.text in bindings:
@@ -320,3 +275,21 @@ def parse_model(text: str) -> tuple[Definitions, Optional[Term]]:
             )
         bindings[name.text] = body
     return Definitions(bindings), root
+
+
+def parse_definitions(text: str) -> Definitions:
+    """Parse ``Name := process ;`` lines into a definitions set.
+
+    Bodies must be plain processes; rebinding a name raises
+    DuplicateDefinition.
+    """
+    return _parse_equations(text, None)[0]
+
+
+def parse_model(text: str) -> tuple[Definitions, Optional[Term]]:
+    """Parse a model file: defining equations plus an optional ``system`` root.
+
+    The ``system`` entry names the initial configuration and may contain
+    running prefixes; every other body must be a plain process.
+    """
+    return _parse_equations(text, "system")

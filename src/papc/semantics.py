@@ -61,6 +61,7 @@ from .syntax import (
     format_action,
     format_term,
     frozen_prefix_count,
+    subterms,
 )
 
 __all__ = [
@@ -75,7 +76,6 @@ __all__ = [
     "label_text",
     "label_sort_key",
     "transition_sort_key",
-    "id_set",
     "actions_at",
     "rename_id",
     "fresh_id",
@@ -196,18 +196,10 @@ def transition_sort_key(t: Transition):
 # auxiliary functions over configurations
 
 
-def id_set(config: Term) -> frozenset[int]:
-    """Identifiers of the running actions in the configuration."""
-    return config.ids
-
-
 def actions_at(ident: int, config: Term) -> frozenset[Action]:
     """Actions currently running in the configuration under identifier ``ident``."""
-    if isinstance(config, (FrozenConsume, FrozenConserve)):
-        return frozenset((config.action,)) if config.ident == ident else frozenset()
-    if isinstance(config, (Sum, Par)):
-        return actions_at(ident, config.left) | actions_at(ident, config.right)
-    return frozenset()
+    return frozenset(t.action for t in subterms(config, lambda t: ident in t.ids)
+                     if isinstance(t, (FrozenConsume, FrozenConserve)) and t.ident == ident)
 
 
 def rename_id(config: Term, old: int, new: int) -> Term:
@@ -225,15 +217,10 @@ def rename_id(config: Term, old: int, new: int) -> Term:
 def _rename(config: Term, old: int, new: int) -> Term:
     if old not in config.ids:
         return config
-    if isinstance(config, FrozenConsume):
-        return FrozenConsume(config.action, new, config.cont)
-    if isinstance(config, FrozenConserve):
-        return FrozenConserve(config.action, new, config.cont)
-    if isinstance(config, Sum):
-        return Sum(_rename(config.left, old, new), _rename(config.right, old, new))
-    if isinstance(config, Par):
-        return Par(_rename(config.left, old, new), _rename(config.right, old, new))
-    return config
+    if isinstance(config, (FrozenConsume, FrozenConserve)):
+        return type(config)(config.action, new, config.cont)
+    # Sum or Par, the only other id holders; direct, as every start renames
+    return type(config)(_rename(config.left, old, new), _rename(config.right, old, new))
 
 
 def fresh_id(used: Iterable[int]) -> int:
@@ -251,11 +238,14 @@ def fresh_id(used: Iterable[int]) -> int:
 _HStep = tuple[int, Action, Term]
 
 
+_STARTED = {PrefixConsume: FrozenConsume, PrefixConserve: FrozenConserve}
+_IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
+
+
 def _h(config: Term, defs: Definitions, unfolding: frozenset[str]) -> set[_HStep]:
-    if isinstance(config, PrefixConsume):
-        return {(1, config.action, FrozenConsume(config.action, 1, config.cont))}
-    if isinstance(config, PrefixConserve):
-        return {(1, config.action, FrozenConserve(config.action, 1, config.cont))}
+    started = _STARTED.get(type(config))
+    if started is not None:
+        return {(1, config.action, started(config.action, 1, config.cont))}
     if isinstance(config, Const):
         body = defs.get(config.name)
         if body is None:
@@ -331,10 +321,9 @@ def _interrupts(config: Term, allowed: frozenset[int]) -> set[_IStep]:
     whole relation."""
     if config.ids.isdisjoint(allowed):
         return {(_EMPTY, config)}
-    if isinstance(config, FrozenConsume):
-        return {(config.ids, PrefixConsume(config.action, config.cont)), (_EMPTY, config)}
-    if isinstance(config, FrozenConserve):
-        return {(config.ids, PrefixConserve(config.action, config.cont)), (_EMPTY, config)}
+    idle = _IDLE.get(type(config))
+    if idle is not None:
+        return {(config.ids, idle(config.action, config.cont)), (_EMPTY, config)}
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
     return {
         (lids | rids, node(ltarget, rtarget))

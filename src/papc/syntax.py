@@ -14,16 +14,24 @@ Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  All nodes are immutable,
 hashable and compared structurally, which is the only term identity used in
 this package.
+
+Traversal: each node class states its shape once, as ``children()`` (its
+direct subterms, left to right) and ``rebuild(children)`` (the same node over
+new subterms).  `subterms` walks a term in pre-order on an explicit stack,
+visiting a node's children only where ``descend(node)`` holds.  Helpers that
+collect from a term filter that walk; helpers that rewrite a term recurse
+through ``children``/``rebuild``; hot paths prune on ``ids`` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ComplementOfTau,
     IllFormedPlacement,
+    ParseError,
     TauInPrefix,
     UnboundConstant,
 )
@@ -33,8 +41,6 @@ __all__ = [
     "TAU",
     "complement",
     "Term",
-    "Process",
-    "Configuration",
     "Nil",
     "NIL",
     "PrefixConsume",
@@ -46,6 +52,9 @@ __all__ = [
     "FrozenConserve",
     "Hole",
     "HOLE",
+    "subterms",
+    "hole_count",
+    "check_context",
     "is_process",
     "frozen_prefix_count",
     "constants_of",
@@ -110,25 +119,20 @@ class Term:
 
     Each node carries ``ids``, the set of identifiers of its running (frozen)
     prefixes, precomputed at construction so that the semantics can test for
-    identifier collisions in O(1).
+    identifier collisions in O(1).  ``children`` and ``rebuild`` give generic
+    traversals a node's shape: ``t.rebuild(t.children()) == t``.
     """
 
     ids: frozenset[int] = frozenset()
 
+    def children(self) -> tuple[Term, ...]:
+        return ()
+
+    def rebuild(self, children: Sequence[Term]) -> Term:
+        return self
+
     def __str__(self) -> str:
         return format_term(self)
-
-
-_NO_IDS: frozenset[int] = frozenset()
-
-
-def _check_pure_continuation(cont: Term) -> None:
-    # Holes pass; the check is redone once the hole is filled.
-    if cont.ids:
-        raise IllFormedPlacement(
-            "a prefix continuation must be a plain process, "
-            f"but {format_term(cont)} contains running prefixes"
-        )
 
 
 @dataclass(frozen=True)
@@ -139,48 +143,94 @@ class Nil(Term):
 NIL = Nil()
 
 
+class _Prefix(Term):
+    """The four prefix forms: a named action over a plain continuation."""
+
+    action: Action
+    cont: Term
+
+    def __post_init__(self) -> None:
+        if self.action.name is None:
+            raise TauInPrefix("prefix actions range over named actions, not tau")
+        # Holes pass; the check is redone once the hole is filled.
+        if self.cont.ids:
+            raise IllFormedPlacement(
+                "a prefix continuation must be a plain process, "
+                f"but {format_term(self.cont)} contains running prefixes"
+            )
+
+    def children(self) -> tuple[Term, ...]:
+        return (self.cont,)
+
+
 @dataclass(frozen=True)
-class PrefixConsume(Term):
+class _Idle(_Prefix):
+    action: Action
+    cont: Term
+
+    def rebuild(self, children: Sequence[Term]) -> Term:
+        return type(self)(self.action, children[0])
+
+
+@dataclass(frozen=True)
+class _Running(_Prefix):
+    action: Action
+    ident: int
+    cont: Term
+
+    def __post_init__(self) -> None:
+        _Prefix.__post_init__(self)
+        if self.ident < 1:
+            raise ValueError("running-action identifiers start at 1")
+        object.__setattr__(self, "ids", frozenset((self.ident,)))
+
+    def rebuild(self, children: Sequence[Term]) -> Term:
+        return type(self)(self.action, self.ident, children[0])
+
+
+@dataclass(frozen=True)
+class PrefixConsume(_Idle):
     """``a.P``: performing ``a`` replaces the whole prefix by ``P``."""
 
-    action: Action
-    cont: Term
-
-    def __post_init__(self) -> None:
-        if self.action.is_tau:
-            raise TauInPrefix("prefix actions range over named actions, not tau")
-        _check_pure_continuation(self.cont)
-
 
 @dataclass(frozen=True)
-class PrefixConserve(Term):
+class PrefixConserve(_Idle):
     """``a:P``: performing ``a`` re-arms the prefix and emits ``P`` alongside."""
 
-    action: Action
-    cont: Term
 
-    def __post_init__(self) -> None:
-        if self.action.is_tau:
-            raise TauInPrefix("prefix actions range over named actions, not tau")
-        _check_pure_continuation(self.cont)
+@dataclass(frozen=True)
+class FrozenConsume(_Running):
+    """``[a#l].P``: a started consuming action, identified by ``l >= 1``."""
 
 
 @dataclass(frozen=True)
-class Sum(Term):
+class FrozenConserve(_Running):
+    """``[a#l]:P``: a started conserving action, identified by ``l >= 1``."""
+
+
+@dataclass(frozen=True)
+class _Binary(Term):
     left: Term
     right: Term
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", self.left.ids | self.right.ids)
 
+    def children(self) -> tuple[Term, ...]:
+        return (self.left, self.right)
+
+    def rebuild(self, children: Sequence[Term]) -> Term:
+        return type(self)(*children)
+
 
 @dataclass(frozen=True)
-class Par(Term):
-    left: Term
-    right: Term
+class Sum(_Binary):
+    """``P + Q``: choice."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", self.left.ids | self.right.ids)
+
+@dataclass(frozen=True)
+class Par(_Binary):
+    """``P | Q``: parallel composition."""
 
 
 @dataclass(frozen=True)
@@ -191,103 +241,67 @@ class Const(Term):
 
 
 @dataclass(frozen=True)
-class FrozenConsume(Term):
-    """``[a#l].P``: a started consuming action, identified by ``l >= 1``."""
-
-    action: Action
-    ident: int
-    cont: Term
-
-    def __post_init__(self) -> None:
-        if self.action.is_tau:
-            raise TauInPrefix("running prefixes never carry tau")
-        if self.ident < 1:
-            raise ValueError("running-action identifiers start at 1")
-        _check_pure_continuation(self.cont)
-        object.__setattr__(self, "ids", frozenset((self.ident,)))
-
-
-@dataclass(frozen=True)
-class FrozenConserve(Term):
-    """``[a#l]:P``: a started conserving action, identified by ``l >= 1``."""
-
-    action: Action
-    ident: int
-    cont: Term
-
-    def __post_init__(self) -> None:
-        if self.action.is_tau:
-            raise TauInPrefix("running prefixes never carry tau")
-        if self.ident < 1:
-            raise ValueError("running-action identifiers start at 1")
-        _check_pure_continuation(self.cont)
-        object.__setattr__(self, "ids", frozenset((self.ident,)))
-
-
-@dataclass(frozen=True)
 class Hole(Term):
     """The single hole of a context; never part of a configuration."""
 
 
 HOLE = Hole()
 
-# Aliases matching the two grammars: a Process is a Term without frozen
-# prefixes, a Configuration is any Term.  The distinction is dynamic
-# (`is_process`), not a separate class.
-Process = Term
-Configuration = Term
+
+# ---------------------------------------------------------------------------
+# traversal
+
+
+def subterms(term: Term, descend: Optional[Callable[[Term], bool]] = None) -> Iterator[Term]:
+    """Every node of ``term`` in pre-order, the term itself first; with
+    ``descend``, only the children of nodes it accepts are visited."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        if descend is None or descend(node):
+            stack.extend(reversed(node.children()))
+
+
+def hole_count(term: Term) -> int:
+    """Number of context holes in the term."""
+    return sum(1 for t in subterms(term) if isinstance(t, Hole))
+
+
+def check_context(term: Term) -> None:
+    """Raise ParseError unless the term is a context: exactly one hole and
+    no running prefixes."""
+    holes = hole_count(term)
+    if holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {holes}")
+    if term.ids:
+        raise ParseError("contexts are process-shaped; no running prefixes allowed")
 
 
 def is_process(term: Term) -> bool:
     """True when the term has no running prefixes (and no hole)."""
-    return not term.ids and not _contains_hole(term)
-
-
-def _contains_hole(term: Term) -> bool:
-    if isinstance(term, Hole):
-        return True
-    if isinstance(term, (Sum, Par)):
-        return _contains_hole(term.left) or _contains_hole(term.right)
-    if isinstance(term, (PrefixConsume, PrefixConserve, FrozenConsume, FrozenConserve)):
-        return _contains_hole(term.cont)
-    return False
+    return not term.ids and not hole_count(term)
 
 
 def frozen_prefix_count(term: Term) -> int:
     """Number of frozen prefix occurrences (duplicated identifiers count)."""
-    if isinstance(term, (FrozenConsume, FrozenConserve)):
+    # pruned on ``ids`` and kept free of the generic walk: the interrupt cap
+    # calls this on every derivation
+    if not term.ids:
+        return 0
+    if isinstance(term, _Running):
         return 1
-    if isinstance(term, (Sum, Par)):
-        return frozen_prefix_count(term.left) + frozen_prefix_count(term.right)
-    return 0
+    return sum(map(frozen_prefix_count, term.children()))
 
 
 def constants_of(term: Term) -> Iterator[str]:
     """Yield every constant name occurring in the term (with repeats)."""
-    if isinstance(term, Const):
-        yield term.name
-    elif isinstance(term, (Sum, Par)):
-        yield from constants_of(term.left)
-        yield from constants_of(term.right)
-    elif isinstance(term, (PrefixConsume, PrefixConserve, FrozenConsume, FrozenConserve)):
-        yield from constants_of(term.cont)
+    return (t.name for t in subterms(term) if isinstance(t, Const))
 
 
 def action_names_of(term: Term) -> set[str]:
     """The channel names syntactically present in the term."""
-    names: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, (PrefixConsume, PrefixConserve, FrozenConsume, FrozenConserve)):
-            assert t.action.name is not None
-            names.add(t.action.name)
-            walk(t.cont)
-        elif isinstance(t, (Sum, Par)):
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
-    return names
+    return {t.action.name for t in subterms(term) if isinstance(t, _Prefix)}
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +419,8 @@ class ValidationReport:
 
 def _unguarded_refs(term: Term) -> set[str]:
     # constants reachable without passing a prefix
-    if isinstance(term, Const):
-        return {term.name}
-    if isinstance(term, (Sum, Par)):
-        return _unguarded_refs(term.left) | _unguarded_refs(term.right)
-    return set()
+    return {t.name for t in subterms(term, lambda t: isinstance(t, _Binary))
+            if isinstance(t, Const)}
 
 
 def _cyclic_edges(edges: dict[str, set[str]]) -> set[tuple[str, str]]:

@@ -29,7 +29,6 @@ from papc.semantics import (
     all_steps,
     conservative_completions,
     handshake_steps,
-    id_set,
     interrupt_steps,
     preemptive_completions,
     system_steps,
@@ -217,8 +216,8 @@ def test_criterion_5_invariant_suite():
         config = random_configuration(rng, depth=4, max_frozen=3)
         for t in handshake_steps(config, STANDARD_DEFS):
             label = t.label
-            assert label.ident not in id_set(config)
-            assert id_set(t.target) == id_set(config) | {label.ident}
+            assert label.ident not in config.ids
+            assert t.target.ids == config.ids | {label.ident}
 
     # coupled tau starts freeze one complementary prefix on each side
     coupling_checks = 0
@@ -233,13 +232,13 @@ def test_criterion_5_invariant_suite():
             if not t.label.action.is_tau:
                 continue
             ident = t.label.ident
-            assert ident not in id_set(config)
+            assert ident not in config.ids
             assert isinstance(t.target, Par)
             # a tau start couples at this composition only when both sides
             # gained the identifier; otherwise one side propagated a nested
             # coupling and holds both ends itself
-            sides_gained = [ident in id_set(t.target.left),
-                            ident in id_set(t.target.right)]
+            sides_gained = [ident in t.target.left.ids,
+                            ident in t.target.right.ids]
             if not all(sides_gained):
                 assert any(sides_gained)
                 continue
@@ -257,8 +256,8 @@ def test_criterion_5_invariant_suite():
         config = random_configuration(rng, depth=4, max_frozen=3)
         for t in interrupt_steps(config, STANDARD_DEFS):
             rolled = t.label.idents
-            assert rolled <= id_set(config)
-            assert id_set(t.target) == id_set(config) - rolled
+            assert rolled <= config.ids
+            assert t.target.ids == config.ids - rolled
 
     report(5, "invariant suite (6 x >= 10^4 instances)", started, 60.0)
 

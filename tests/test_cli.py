@@ -225,3 +225,19 @@ def test_replay_detects_a_forged_step(tmp_path):
     code, output = run(["replay", CELL, str(forged)])
     assert code == 1
     assert "no transition" in output
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"config": "C | A | B", "label": "H 1 tau+"}', "not json"], "not JSON"),
+    (['{"config": "C | A | B", "label": "H 1 tau+"}', '{"state": "0"}'], "no 'config'"),
+    (['{"config": "C | A | B", "label": "H 1 tau+"}'], "no successor"),
+    (['{"config": "C | A | B"}',
+      '{"config": "[a#1].(C | C) + g:P | [~a#1].(A | A) | B"}'], "no label"),
+])
+def test_replay_rejects_malformed_transcripts(tmp_path, capsys, lines, message):
+    transcript = tmp_path / "bad.jsonl"
+    transcript.write_text("\n".join(lines) + "\n")
+    code, _ = run(["replay", CELL, str(transcript)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

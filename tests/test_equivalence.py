@@ -13,10 +13,11 @@ from papc.equivalence import (
     apply_context,
     bisimilar,
     congruence_probe,
+    hole_count,
     random_context,
     verify_witness,
 )
-from papc.errors import IllFormedPlacement
+from papc.errors import IllFormedPlacement, ParseError
 from papc.lts import Bounds
 from papc.parsing import parse_context, parse_definitions, parse_process
 from papc.semantics import (
@@ -25,7 +26,7 @@ from papc.semantics import (
     Handshake,
     all_steps,
 )
-from papc.syntax import Action, EMPTY_DEFINITIONS, format_term
+from papc.syntax import HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Par, format_term
 
 REPLICATOR_DEFS = parse_definitions("C1 := a.(C1 | C1); C2 := a:C2;")
 SMALL = Bounds(max_states=60, max_depth=6)
@@ -180,9 +181,18 @@ def test_apply_context_rejects_frozen_under_prefix():
         apply_context(ctx, parse_process("[a#1].0"))
 
 
-def test_random_contexts_have_one_hole():
-    from papc.equivalence import hole_count
+def test_apply_context_rejects_what_parse_context_rejects():
+    running = FrozenConsume(Action("a"), 1, NIL)
+    filler = parse_process("b.0")
+    for ctx in (FrozenConsume(Action("a"), 1, HOLE), Par(running, HOLE)):
+        assert hole_count(ctx) == 1
+        with pytest.raises(ParseError):
+            parse_context(format_term(ctx))
+        with pytest.raises(ParseError):
+            apply_context(ctx, filler)
 
+
+def test_random_contexts_have_one_hole():
     rng = random.Random(5)
     for _ in range(200):
         ctx = random_context(rng, ["a", "b"])

@@ -16,7 +16,6 @@ from papc.semantics import (
     conservative_completions,
     fresh_id,
     handshake_steps,
-    id_set,
     interrupt_steps,
     preemptive_completions,
     rename_id,
@@ -42,15 +41,15 @@ def labelled(transitions):
 
 def test_id_set_collects_running_identifiers():
     config = parse_process("[a#1].P + b:Q | [g#2].T")
-    assert id_set(config) == {1, 2}
+    assert config.ids == {1, 2}
 
 
 def test_id_set_of_plain_process_is_empty():
-    assert id_set(parse_process("a.(C|C) + g:P")) == frozenset()
+    assert parse_process("a.(C|C) + g:P").ids == frozenset()
 
 
 def test_id_set_merges_duplicates():
-    assert id_set(parse_process("[a#3].0 + [b#3]:0")) == {3}
+    assert parse_process("[a#3].0 + [b#3]:0").ids == {3}
 
 
 def test_actions_at():
@@ -72,7 +71,7 @@ def test_rename_id_no_running_prefixes():
 def test_rename_id_renames_coupled_sides():
     got = rename_id(parse_process("[a#1].0 | [~a#1].0"), 1, 2)
     assert got == parse_process("[a#2].0 | [~a#2].0")
-    assert id_set(got) == {2}
+    assert got.ids == {2}
 
 
 def test_rename_id_collision_rejected():
@@ -296,16 +295,16 @@ def _frozen_idents(config):
 def test_interrupt_labels_are_sound(config):
     idents = _frozen_idents(config)
     for t in interrupt_steps(config):
-        assert t.label.idents <= id_set(config)
+        assert t.label.idents <= config.ids
         if len(idents) == len(set(idents)):
-            assert id_set(t.target) == id_set(config) - t.label.idents
+            assert t.target.ids == config.ids - t.label.idents
 
 
 @given(strategies.configurations)
 def test_handshake_identifiers_are_fresh(config):
     for t in handshake_steps(config, DEFS):
-        assert t.label.ident not in id_set(config)
-        assert id_set(t.target) == id_set(config) | {t.label.ident}
+        assert t.label.ident not in config.ids
+        assert t.target.ids == config.ids | {t.label.ident}
 
 
 @given(strategies.summations)
@@ -313,9 +312,9 @@ def test_sum_completions_consume_the_whole_summation(config):
     # without parallel siblings a completion survives only as its own
     # continuation, so nothing stays running and nothing demanded survives
     for t in preemptive_completions(config):
-        assert t.label.ident in id_set(config)
-        assert t.label.ident not in id_set(t.target)
-        assert not (t.label.demanded & id_set(t.target))
+        assert t.label.ident in config.ids
+        assert t.label.ident not in t.target.ids
+        assert not (t.label.demanded & t.target.ids)
 
 
 @given(strategies.configurations)

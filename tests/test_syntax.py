@@ -1,8 +1,13 @@
-"""Parser, printer, action algebra and model validation."""
+"""Parser, printer, action algebra, term traversal and model validation."""
+
+import dataclasses
+import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import oracle
 import strategies
 from papc.errors import (
     ComplementOfTau,
@@ -24,9 +29,14 @@ from papc.syntax import (
     PrefixConsume,
     Sum,
     TAU,
+    Term,
+    action_names_of,
     complement,
+    constants_of,
     format_term,
+    frozen_prefix_count,
     is_process,
+    subterms,
     validate,
 )
 
@@ -188,6 +198,31 @@ def test_complement_involution_property(action):
 def test_every_process_is_a_configuration():
     assert is_process(parse_process("a.(C|C) + g:P"))
     assert not is_process(parse_process("[a#1].0"))
+
+
+def _fields_preorder(term):
+    # reference pre-order over the dataclass fields, independent of children()
+    nodes = [term]
+    for field in dataclasses.fields(term):
+        value = getattr(term, field.name)
+        if isinstance(value, Term):
+            nodes.extend(_fields_preorder(value))
+    return nodes
+
+
+@given(st.one_of(strategies.configurations, strategies.pure_terms))
+def test_traversal_agrees_with_independent_views(config):
+    walked = list(subterms(config))
+    assert [id(t) for t in walked] == [id(t) for t in _fields_preorder(config)]
+    for node in walked:
+        assert node.rebuild(node.children()) == node
+    text = format_term(config)
+    assert frozen_prefix_count(config) == text.count("#")
+    assert config.ids == oracle.ids(config)
+    assert is_process(config) == oracle.is_plain(config)
+    # strategy constants are capitalized, action names are not
+    assert sorted(constants_of(config)) == sorted(re.findall(r"[A-Z]", text))
+    assert action_names_of(config) == set(re.findall(r"[a-z]\w*(?=[.:#])", text))
 
 
 def test_frozen_prefix_rejected_under_prefix():
