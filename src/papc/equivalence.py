@@ -9,17 +9,23 @@ continuation.  Continuations ride in labels, so they are injected into the
 state space as ordinary states and compared up to the relation itself rather
 than syntactically.
 
-The checker is exact when the joint reachable space (continuations included)
-fits within ``max_states``: signature-based partition refinement iterates to
-a fixpoint, continuation blocks feeding back into the splitting.  Otherwise
-a depth-bounded game over the two configurations either finds a
-distinguishing strategy (returned as a replayable witness) or gives up with
-an ``unknown`` verdict; it never guesses.
+One engine serves every check: a breadth-first explorer of the joint space,
+signature-based partition refinement that keeps every round's partition, and
+a witness reader over that history.  Round ``k`` splits exactly the pairs on
+which the attacker of the distinguishing game wins within ``k`` moves, so a
+split pair comes with a replayable ``k``-step witness.  When the joint space
+fits within ``max_states`` refinement runs to its fixpoint: the answer is
+exact.  Otherwise each depth ``d`` up to ``max_depth`` explores one level
+more and runs ``d`` rounds over what a ``d``-move game reaches; this answers
+``not-bisimilar`` (with a witness) or ``unknown``, and never guesses.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -112,73 +118,86 @@ class Verdict:
 # joint state space and partition refinement
 
 
-def _joint_space(
-    roots: Iterable[Term],
-    defs: Definitions,
-    max_states: int,
-    interrupt_cap: int,
-) -> Optional[dict[Term, tuple[Transition, ...]]]:
-    """All states reachable from the roots, conservative continuations
-    included; ``None`` when the space does not fit within ``max_states``."""
-    space: dict[Term, tuple[Transition, ...]] = {}
-    frontier = [r for r in roots]
-    while frontier:
-        state = frontier.pop()
-        if state in space:
-            continue
-        if len(space) >= max_states:
-            return None
-        steps = all_steps(state, defs, interrupt_cap=interrupt_cap)
-        space[state] = steps
-        for t in steps:
-            if t.target not in space:
-                frontier.append(t.target)
-            if isinstance(t.label, CompleteConservative):
-                if t.label.continuation not in space:
-                    frontier.append(t.label.continuation)
-    return space
+class _Explorer:
+    """Breadth-first exploration of the joint space from the roots.
 
-
-def _refine(space: dict[Term, tuple[Transition, ...]]) -> dict[Term, int]:
-    """Coarsest partition stable under the matching clauses.
-
-    Blocks split on full labels for handshakes, interrupts and preemptive
-    completions, and on (identifier, action, demanded set, continuation
-    block, target block) for conservative completions; splitting repeats
-    until a round leaves the block count unchanged.
+    ``level`` maps every known state, in discovery order, to its distance
+    from the nearest root; ``steps`` holds the transitions of every expanded
+    state.  Each call resumes where the last stopped.
     """
-    blocks = {s: 0 for s in space}
-    while True:
-        signatures: dict[Term, frozenset] = {}
-        for state, steps in space.items():
-            items = set()
+
+    def __init__(self, roots: Iterable[Term], defs: Definitions, interrupt_cap: int):
+        self.defs = defs
+        self.interrupt_cap = interrupt_cap
+        self.level: dict[Term, int] = dict.fromkeys(roots, 0)
+        self.steps: dict[Term, tuple[Transition, ...]] = {}
+        self._queue = deque(self.level)
+
+    def expand(self, max_level: float, limit: int) -> bool:
+        """Derive the transitions of every state up to ``max_level``,
+        stopping once more than ``limit`` states are known; false if so."""
+        queue, level = self._queue, self.level
+        while queue and level[queue[0]] <= max_level and len(level) <= limit:
+            state = queue.popleft()
+            steps = all_steps(state, self.defs, interrupt_cap=self.interrupt_cap)
+            self.steps[state] = steps
+            below = level[state] + 1
             for t in steps:
-                if isinstance(t.label, CompleteConservative):
-                    items.add((
-                        "CC",
-                        t.label.ident,
-                        t.label.action,
-                        t.label.demanded,
-                        blocks[t.label.continuation],
-                        blocks[t.target],
-                    ))
-                else:
-                    items.add((t.relation, t.label, blocks[t.target]))
-            signatures[state] = frozenset(items)
+                for succ in _after(t):
+                    if succ not in level:
+                        level[succ] = below
+                        queue.append(succ)
+        return len(level) <= limit
+
+
+def _after(t: Transition) -> tuple[Term, ...]:
+    """The states a transition leads to: its target, and the continuation of
+    a conservative completion."""
+    if isinstance(t.label, CompleteConservative):
+        return (t.target, t.label.continuation)
+    return (t.target,)
+
+
+def _item(t: Transition, blocks: dict[Term, int]) -> tuple:
+    """A transition's part of its source's signature: its label and target
+    block, or for a conservative completion the matched label fields and the
+    continuation and target blocks."""
+    label = t.label
+    if isinstance(label, CompleteConservative):
+        return ("CC", label.ident, label.action, label.demanded,
+                blocks[label.continuation], blocks[t.target])
+    return (t.relation, label, blocks[t.target])
+
+
+def _refine(explorer: _Explorer, rounds: Optional[int] = None) -> list[dict[Term, int]]:
+    """The partition after every round of signature refinement, round 0 (one
+    block) first: a state's next block is its block plus its set of items.
+
+    With ``rounds`` unset, over a fully expanded space, refinement runs until
+    a round leaves the block count unchanged.  Otherwise round ``r`` of
+    ``rounds`` re-signs only the states at most ``rounds - r`` levels from
+    the roots, which is all that a ``rounds``-move game can reach.
+    """
+    states = list(explorer.level)
+    levels = list(explorer.level.values())
+    steps = explorer.steps
+    history = [dict.fromkeys(states, 0)]
+    while len(history) - 1 != rounds:
+        blocks = history[-1]
+        reach = len(states) if rounds is None else bisect_right(levels, rounds - len(history))
         keys: dict = {}
-        next_blocks: dict[Term, int] = {}
-        for state in space:
-            key = (blocks[state], signatures[state])
-            if key not in keys:
-                keys[key] = len(keys)
-            next_blocks[state] = keys[key]
-        if len(set(next_blocks.values())) == len(set(blocks.values())):
-            return next_blocks
-        blocks = next_blocks
+        history.append({
+            s: keys.setdefault((blocks[s], frozenset([_item(t, blocks) for t in steps[s]])),
+                               len(keys))
+            for s in states[:reach]
+        })
+        if rounds is None and len(keys) == len(set(blocks.values())):
+            break
+    return history
 
 
 # ---------------------------------------------------------------------------
-# matching and the distinguishing game
+# matching and witnesses
 
 
 def _matching_responses(move: Transition, defender_steps: Sequence[Transition]):
@@ -201,91 +220,43 @@ def _matching_responses(move: Transition, defender_steps: Sequence[Transition]):
 
 def _pairs_after(move: Transition, response: Transition):
     """The pairs the defender must keep related, tagged by what they follow."""
-    pairs = [("target", move.target, response.target)]
-    if isinstance(move.label, CompleteConservative):
-        assert isinstance(response.label, CompleteConservative)
-        pairs.append(("continuation", move.label.continuation, response.label.continuation))
-    return pairs
+    return list(zip(("target", "continuation"), _after(move), _after(response)))
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+def _distinguished(left: Term, right: Term, steps: dict, history: list) -> Verdict:
+    """The verdict on a pair the refinement split, with a distinguishing line
+    read off the refinement history (Cleaveland,
+    "On automatically explaining bisimulation inequivalence", CAV 1990).
 
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _attack(
-    left: Term,
-    right: Term,
-    depth: int,
-    steps_of,
-    distinct,
-    memo: dict,
-    budget: _Budget,
-) -> Optional[tuple[WitnessStep, ...]]:
-    """A winning attacker strategy from (left, right) within ``depth`` moves,
-    linearized against best defense, or ``None``.
-
-    ``distinct`` prunes with an exact inequivalence oracle when one is
-    available (partition blocks); the game never claims a win the oracle
-    rules out, and never explores pairs the oracle declares equivalent.
-    Witness steps keep a stable orientation: "left" always descends from the
-    original left configuration.
+    A pair first split in round ``k`` differs in its round ``k-1``
+    signatures.  The attacker plays the first move, left side first, whose
+    item the other side lacks.  Every matching response then leads to a pair
+    split by round ``k-1``; the defender keeps the first response none of
+    whose pairs split earlier, and the line follows the first of its pairs
+    split in round ``k-1``.  The line therefore has exactly ``k`` steps, and
+    "left" always descends from the original left configuration.
     """
-    if depth <= 0:
-        return None
-    if distinct is not None and not distinct(left, right):
-        return None
-    key = (left, right, depth)
-    if key in memo:
-        return memo[key]
-    if not budget.spend():
-        raise _BudgetExhausted
-    result: Optional[tuple[WitnessStep, ...]] = None
-    for side, attacker, defender in (("left", left, right), ("right", right, left)):
-        defender_steps = steps_of(defender)
-        for move in steps_of(attacker):
-            responses = _matching_responses(move, defender_steps)
-            if not responses:
-                result = (WitnessStep(side, move, None, None),)
+    depth = k = next(r for r, blocks in enumerate(history) if blocks[left] != blocks[right])
+    line: list[WitnessStep] = []
+    while True:
+        blocks = history[k - 1]
+        for side, attacker, defender in (("left", left, right), ("right", right, left)):
+            answers = {_item(t, blocks) for t in steps[defender]}
+            move = next((t for t in steps[attacker] if _item(t, blocks) not in answers), None)
+            if move is not None:
                 break
-            # the move wins when every response leaves some followable pair
-            # distinguishable one level down; keep the defender's best line
-            best: Optional[tuple[Transition, str, tuple[WitnessStep, ...]]] = None
-            all_refuted = True
-            for response in responses:
-                refutation = None
-                for follow, move_next, response_next in _pairs_after(move, response):
-                    if side == "left":
-                        next_pair = (move_next, response_next)
-                    else:
-                        next_pair = (response_next, move_next)
-                    sub = _attack(next_pair[0], next_pair[1], depth - 1,
-                                  steps_of, distinct, memo, budget)
-                    if sub is not None:
-                        refutation = (response, follow, sub)
-                        break
-                if refutation is None:
-                    all_refuted = False
-                    break
-                if best is None or len(refutation[2]) > len(best[2]):
-                    best = refutation
-            if all_refuted and best is not None:
-                candidate = (WitnessStep(side, move, best[0], best[1]),) + best[2]
-                if result is None or len(candidate) < len(result):
-                    result = candidate
-        if result is not None and len(result) == 1:
-            break
-    memo[key] = result
-    return result
+        responses = _matching_responses(move, steps[defender])
+        if not responses:
+            line.append(WitnessStep(side, move, None, None))
+            return Verdict(NOT_BISIMILAR, witness=tuple(line),
+                           detail=f"distinguished at game depth {depth}")
+        before = history[k - 2]
+        response = next(t for t in responses
+                        if all(before[a] == before[b] for _, a, b in _pairs_after(move, t)))
+        follow, a, b = next(p for p in _pairs_after(move, response) if blocks[p[1]] != blocks[p[2]])
+        line.append(WitnessStep(side, move, response, follow))
+        left, right = (a, b) if side == "left" else (b, a)
+        k -= 1
 
 
 def bisimilar(
@@ -298,52 +269,30 @@ def bisimilar(
 ) -> Verdict:
     """Decide bisimilarity within bounds.
 
-    Exact (partition refinement) when the joint reachable space fits in
-    ``bounds.max_states``; otherwise a game bounded by ``bounds.max_depth``
-    that can only answer ``not-bisimilar`` (with a witness) or ``unknown``.
+    Exact when the joint reachable space fits in ``bounds.max_states``;
+    otherwise refinement bounded by ``bounds.max_depth`` levels, which can
+    only answer ``not-bisimilar`` (with a witness) or ``unknown``, the latter
+    also once more than ``64 * bounds.max_states`` states are known.
     """
     if left == right:
         return Verdict(BISIMILAR, detail="identical configurations")
-    space = _joint_space((left, right), defs, bounds.max_states, interrupt_cap)
-    if space is not None:
-        blocks = _refine(space)
-        if blocks[left] == blocks[right]:
-            return Verdict(BISIMILAR, detail=f"exact over {len(space)} joint states")
-        def distinct(a: Term, b: Term) -> bool:
-            return blocks[a] != blocks[b]
-
-        memo: dict = {}
-        budget = _Budget(10_000_000)
-        for depth in range(1, len(space) + 2):
-            witness = _attack(left, right, depth, space.__getitem__,
-                              distinct, memo, budget)
-            if witness is not None:
-                return Verdict(NOT_BISIMILAR, witness=witness,
-                               detail=f"distinguished at game depth {depth}")
-        raise AssertionError("refinement split the pair but no witness was found")
-    # the space is too large for an exact answer: bounded game
-    cache: dict[Term, tuple[Transition, ...]] = {}
-
-    def steps_of(state: Term) -> tuple[Transition, ...]:
-        if state not in cache:
-            cache[state] = all_steps(state, defs, interrupt_cap=interrupt_cap)
-        return cache[state]
-
-    budget = _Budget(max(bounds.max_states, 1) * 64)
-    memo = {}
-    try:
-        for depth in range(1, bounds.max_depth + 1):
-            witness = _attack(left, right, depth, steps_of, None, memo, budget)
-            if witness is not None:
-                return Verdict(NOT_BISIMILAR, witness=witness,
-                               detail=f"distinguished at game depth {depth}")
-    except _BudgetExhausted:
-        return Verdict(UNKNOWN, detail="game budget exhausted before a difference was found")
-    return Verdict(
-        UNKNOWN,
-        detail=(f"joint space exceeds {bounds.max_states} states and the game "
-                f"found no difference within depth {bounds.max_depth}"),
-    )
+    explorer = _Explorer((left, right), defs, interrupt_cap)
+    if explorer.expand(math.inf, bounds.max_states):
+        history = _refine(explorer)
+        if history[-1][left] == history[-1][right]:
+            return Verdict(BISIMILAR, detail=f"exact over {len(explorer.level)} joint states")
+        return _distinguished(left, right, explorer.steps, history)
+    # the space is too large for an exact answer: one more level per depth
+    limit = bounds.max_states * 64
+    for depth in range(1, bounds.max_depth + 1):
+        if not explorer.expand(depth - 1, limit):
+            return Verdict(UNKNOWN, detail=(f"game budget exhausted: more than {limit} joint "
+                                            f"states known before a difference was found"))
+        history = _refine(explorer, depth)
+        if history[-1][left] != history[-1][right]:
+            return _distinguished(left, right, explorer.steps, history)
+    return Verdict(UNKNOWN, detail=(f"joint space exceeds {bounds.max_states} states and the "
+                                    f"game found no difference within depth {bounds.max_depth}"))
 
 
 def verify_witness(

@@ -243,10 +243,7 @@ _IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
 
 
 def _h(config: Term, defs: Definitions, unfolding: frozenset[str]) -> set[_HStep]:
-    started = _STARTED.get(type(config))
-    if started is not None:
-        return {(1, config.action, started(config.action, 1, config.cont))}
-    if isinstance(config, Const):
+    while isinstance(config, Const):  # a chain of aliases unfolds in a loop
         body = defs.get(config.name)
         if body is None:
             return set()
@@ -254,7 +251,11 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str]) -> set[_HStep
             raise UnguardedRecursion(
                 f"constant {config.name!r} unfolds to itself without passing a prefix"
             )
-        return _h(body, defs, unfolding | {config.name})
+        unfolding = unfolding | {config.name}
+        config = body
+    started = _STARTED.get(type(config))
+    if started is not None:
+        return {(1, config.action, started(config.action, 1, config.cont))}
     if isinstance(config, (Sum, Par)):
         node = type(config)
         left, right = config.left, config.right

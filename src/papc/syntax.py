@@ -424,40 +424,43 @@ def _unguarded_refs(term: Term) -> set[str]:
 
 
 def _cyclic_edges(edges: dict[str, set[str]]) -> set[tuple[str, str]]:
-    # Tarjan's SCC; an edge is cyclic when both endpoints share a component
-    # (self-loops included).
+    # Tarjan's SCC with an explicit call stack, so that long alias chains do
+    # not overflow Python's; an edge is cyclic when both endpoints share a
+    # component (self-loops included).
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    comp: dict[str, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    def visit(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(edges.get(v, ())):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp[w] = ncomp[0]
-                if w == v:
-                    break
-            ncomp[0] += 1
-
+    comp: dict[str, str] = {}
     nodes = set(edges) | {w for ws in edges.values() for w in ws}
-    for v in sorted(nodes):
-        if v not in index:
-            visit(v)
+    for root in sorted(nodes):
+        if root in index:
+            continue
+        calls = [(root, None)]
+        while calls:
+            v, successors = calls.pop()
+            if successors is None:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+                successors = iter(sorted(edges.get(v, ())))
+            for w in successors:
+                if w not in index:
+                    calls += [(v, successors), (w, None)]
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:  # v roots a component; name it by v
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = v
+                        if w == v:
+                            break
+                if calls:
+                    caller = calls[-1][0]
+                    low[caller] = min(low[caller], low[v])
     bad = set()
     for v, ws in edges.items():
         for w in ws:

@@ -64,6 +64,16 @@ def test_empty_model_has_no_root(tmp_path):
     assert code == 1  # NoRoot
 
 
+def test_long_alias_chain_is_checked_and_stepped(tmp_path):
+    chain = tmp_path / "chain.papc"
+    chain.write_text(" ".join(f"C{i} := C{i + 1};" for i in range(1500)) + " C1500 := a.C0;")
+    code, _ = run(["check", str(chain)])
+    assert code == 0
+    code, output = run(["steps", str(chain), "--from", "C0"])
+    assert code == 0
+    assert "H 1 a+ -> [a#1].C0" in output.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # steps
 

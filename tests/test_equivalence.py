@@ -1,5 +1,6 @@
 """Bisimilarity checking, witnesses, contexts and the congruence probe."""
 
+import collections
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from papc.semantics import (
     CompletePreemptive,
     Handshake,
     all_steps,
+    label_text,
 )
 from papc.syntax import HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Par, format_term
 
@@ -63,6 +65,22 @@ def test_replicator_witness_is_cp_versus_cc():
     kinds = {type(t.label) for t in all_steps(defender, REPLICATOR_DEFS)}
     assert CompleteConservative in kinds and CompletePreemptive not in kinds
     assert verify_witness(p, q, verdict.witness, REPLICATOR_DEFS)
+
+
+@pytest.mark.parametrize("bounds", [Bounds(), Bounds(max_states=2, max_depth=6)],
+                         ids=["exact", "bounded"])
+def test_witness_follows_a_continuation(bounds):
+    p, q = parse_process("a:b.0"), parse_process("a:c.0")
+    verdict = bisimilar(p, q, EMPTY_DEFINITIONS, bounds)
+    assert verdict.outcome == NOT_BISIMILAR
+    assert verdict.detail == "distinguished at game depth 3"
+    assert [(s.attacker, label_text(s.move.label), s.follow) for s in verdict.witness] == [
+        ("left", "H 1 a+", "target"),
+        ("left", "CC 1 a- {} -> b.0", "continuation"),
+        ("left", "H 1 b+", None),
+    ]
+    assert verdict.witness[-1].response is None
+    assert verify_witness(p, q, verdict.witness, EMPTY_DEFINITIONS)
 
 
 def test_identical_configurations_are_bisimilar():
@@ -128,6 +146,33 @@ def test_engine_and_oracle_agree_on_random_pairs():
         assert verdict.outcome in (BISIMILAR, NOT_BISIMILAR)
         assert verdict.is_bisimilar == ((p, q) in rel), (format_term(p), format_term(q))
         checked += 1
+
+
+def test_bounded_path_agrees_with_the_oracle():
+    # max_states=3 sends all but the smallest spaces down the depth-bounded
+    # path; a depth of one move per joint state is enough to split any
+    # inequivalent pair
+    rng = random.Random(19)
+    outcomes = collections.Counter()
+    while sum(outcomes.values()) < 200:
+        p = random_process(rng, 2, constants=False)
+        q = random_process(rng, 2, constants=False)
+        try:
+            space = bisim_oracle.joint_space((p, q), EMPTY_DEFINITIONS, limit=50)
+        except RuntimeError:
+            continue
+        equivalent = (p, q) in bisim_oracle.largest_bisimulation(space)
+        verdict = bisimilar(p, q, EMPTY_DEFINITIONS, Bounds(max_states=3, max_depth=len(space)))
+        pair = (format_term(p), format_term(q))
+        if equivalent:
+            assert verdict.outcome != NOT_BISIMILAR, pair
+        else:
+            assert verdict.outcome == NOT_BISIMILAR, pair
+        if verdict.outcome == NOT_BISIMILAR:
+            assert verify_witness(p, q, verdict.witness, EMPTY_DEFINITIONS), pair
+            assert verdict.detail == f"distinguished at game depth {len(verdict.witness)}"
+        outcomes[verdict.detail.split()[0]] += 1
+    assert outcomes["distinguished"] > 100 and outcomes["joint"] + outcomes["game"] > 0
 
 
 def test_demanded_set_differences_distinguish():
