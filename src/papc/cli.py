@@ -10,7 +10,8 @@ Commands:
 * ``replay`` -- re-derive a recorded transcript step by step.
 
 Exit codes: 0 success (or bisimilar), 1 not bisimilar or validation/model
-error, 2 unknown verdict or an exhausted bound, 3 usage or I/O error.
+error, 2 unknown verdict or an exhausted bound (the nesting limit included),
+3 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -288,6 +289,12 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
         return EXIT_USAGE
     except CapExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except RecursionError:
+        # wide parallels, deep parentheses and long prefix chains are still
+        # parsed and derived recursively
+        print("error: the input nests deeper than the nesting limit "
+              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_UNKNOWN
     except PapcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Recursive definitions make most interesting state spaces infinite, so the
 builder stops at configurable bounds and records which states it did not
-expand.  States are deduplicated by structural equality only: two
-configurations differing in identifier values are distinct states (the
-least-unused identifier policy already canonicalizes generated identifiers).
+expand.  States are deduplicated by term equality only (equal terms are one
+interned object): two configurations differing in identifier values are
+distinct states (the least-unused identifier policy already canonicalizes
+generated identifiers).
 
 Exports are byte-exact across runs: an ``aut``-style text form with one line
 per edge, and a structured JSON form embedding full configuration texts.

@@ -11,9 +11,11 @@ processes: a frozen prefix can never sit under another prefix, and the node
 constructors enforce that.
 
 Every process is a configuration, so a single node hierarchy (`Term`)
-represents both; `is_process` tells them apart.  All nodes are immutable,
-hashable and compared structurally, which is the only term identity used in
-this package.
+represents both; `is_process` tells them apart.  Nodes are immutable and
+hash-consed: equal terms are one interned object, so term equality is
+identity and a hash is computed once per node, from its children's.  Each
+node also keeps its identifiers, its running-prefix and hole counts, and,
+once printed, its text.
 
 Traversal: each node class states its shape once, as ``children()`` (its
 direct subterms, left to right) and ``rebuild(children)`` (the same node over
@@ -25,7 +27,8 @@ through ``children``/``rebuild``; hot paths prune on ``ids`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -113,17 +116,82 @@ def format_action(action: Action) -> str:
 
 # ---------------------------------------------------------------------------
 # terms
+#
+# Terms are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", ML 2006): a constructor returns the live node of the same
+# class with the same fields when there is one, and builds, checks and
+# enters a new node otherwise.  The table is keyed by the class, the scalar
+# fields and the ``id`` of each child.  Children are interned before their
+# parent and a live node holds its children, so the ids in a live node's key
+# are never reused.  Entries are weak references that drop themselves when
+# their node dies, so the table never keeps a term alive.
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _TABLE) -> None:
+    if table.get(ref.key) is ref:  # a newer node may hold the key by now
+        del table[ref.key]
+
+
+_NO_IDS: frozenset[int] = frozenset()
+
+# Binding strength, loosest to tightest: `|` < `+` < prefix.  Both binary
+# operators associate to the right, so a left operand of its own kind needs
+# parentheses while a right operand does not.
+_PREC_PAR = 1
+_PREC_SUM = 2
+_PREC_ATOM = 3
+
 
 class Term:
     """Base class of all process/configuration nodes.
 
-    Each node carries ``ids``, the set of identifiers of its running (frozen)
-    prefixes, precomputed at construction so that the semantics can test for
-    identifier collisions in O(1).  ``children`` and ``rebuild`` give generic
-    traversals a node's shape: ``t.rebuild(t.children()) == t``.
+    Nodes are interned and never change after construction: building a node
+    equal to a live one returns that one, so ``==`` is ``is``, and ``hash``
+    reads a structural hash computed once from the children's.  Next to its
+    fields each node carries, fixed at construction, ``ids`` (the
+    identifiers of its running prefixes, so that the semantics can test for
+    identifier collisions in O(1)), ``n_frozen`` (its running prefixes,
+    repeated identifiers counted) and ``n_holes`` (its context holes); it
+    keeps its printed text once ``format_term`` has made it.  ``children``
+    and ``rebuild`` give generic traversals a node's shape:
+    ``t.rebuild(t.children()) is t``.
     """
 
-    ids: frozenset[int] = frozenset()
+    __slots__ = ("ids", "n_frozen", "n_holes", "_hash", "_text", "__weakref__")
+    _prec = _PREC_ATOM
+
+    def __new__(cls) -> Term:  # the leaves without fields
+        key = (cls,)
+        ref = _TABLE.get(key)  # the live node under the key, else a new one
+        return ref and ref() or cls._make(key)
+
+    @classmethod
+    def _make(cls, key: tuple, *fields) -> Term:
+        """Build and check a node, then enter it under ``key``."""
+        node = object.__new__(cls)
+        node._text = None
+        node._init(*fields)
+        ref = _Ref(node, _forget)
+        ref.key = key
+        _TABLE[key] = ref
+        return node
+
+    def _init(self) -> None:
+        self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, 0
+        self._hash = hash(self._show())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # copying or unpickling yields the interned node
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def children(self) -> tuple[Term, ...]:
         return ()
@@ -135,86 +203,179 @@ class Term:
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class Nil(Term):
     """The inert process ``0``."""
+
+    __slots__ = ()
+
+    def _show(self) -> str:
+        return "0"
 
 
 NIL = Nil()
 
 
+@dataclass(init=False, eq=False)
+class Hole(Term):
+    """The single hole of a context; never part of a configuration."""
+
+    __slots__ = ()
+
+    def _init(self) -> None:
+        Term._init(self)
+        self.n_holes = 1
+
+    def _show(self) -> str:
+        return "[]"
+
+
+HOLE = Hole()
+
+
+@dataclass(init=False, eq=False)
+class Const(Term):
+    """A reference to a defining equation ``name := body``."""
+
+    __slots__ = ("name",)
+    name: str
+
+    def __new__(cls, name: str) -> Term:
+        key = (cls, name)
+        ref = _TABLE.get(key)
+        return ref and ref() or cls._make(key, name)
+
+    def _init(self, name: str) -> None:
+        self.name = name
+        Term._init(self)
+
+    def _show(self) -> str:
+        return self.name
+
+
+def _wrap(term: Term, min_prec: int) -> str:
+    # a printed operand, parenthesized when it binds looser than required
+    return f"({term._text})" if term._prec < min_prec else term._text
+
+
 class _Prefix(Term):
     """The four prefix forms: a named action over a plain continuation."""
 
-    action: Action
-    cont: Term
+    __slots__ = ("action", "cont")
 
-    def __post_init__(self) -> None:
-        if self.action.name is None:
+    def _init(self, action: Action, cont: Term) -> None:
+        if action.name is None:
             raise TauInPrefix("prefix actions range over named actions, not tau")
         # Holes pass; the check is redone once the hole is filled.
-        if self.cont.ids:
+        if cont.ids:
             raise IllFormedPlacement(
                 "a prefix continuation must be a plain process, "
-                f"but {format_term(self.cont)} contains running prefixes"
+                f"but {format_term(cont)} contains running prefixes"
             )
+        self.action, self.cont = action, cont
+        self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, cont.n_holes
+        self._hash = hash((self._sep, action.name, action.complemented, cont._hash))
 
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class _Idle(_Prefix):
+    __slots__ = ()
     action: Action
     cont: Term
+
+    def __new__(cls, action: Action, cont: Term) -> Term:
+        key = (cls, action.name, action.complemented, id(cont))
+        ref = _TABLE.get(key)
+        return ref and ref() or cls._make(key, action, cont)
 
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, children[0])
 
+    def _show(self) -> str:
+        return f"{format_action(self.action)}{self._sep}{_wrap(self.cont, _PREC_ATOM)}"
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class _Running(_Prefix):
+    __slots__ = ("ident",)
     action: Action
     ident: int
     cont: Term
 
-    def __post_init__(self) -> None:
-        _Prefix.__post_init__(self)
-        if self.ident < 1:
+    def __new__(cls, action: Action, ident: int, cont: Term) -> Term:
+        key = (cls, action.name, action.complemented, ident, id(cont))
+        ref = _TABLE.get(key)
+        return ref and ref() or cls._make(key, action, ident, cont)
+
+    def _init(self, action: Action, ident: int, cont: Term) -> None:
+        _Prefix._init(self, action, cont)
+        if ident < 1:
             raise ValueError("running-action identifiers start at 1")
-        object.__setattr__(self, "ids", frozenset((self.ident,)))
+        self.ident = ident
+        self.ids, self.n_frozen = frozenset((ident,)), 1
+        self._hash = hash((self._hash, ident))
 
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, self.ident, children[0])
 
+    def _show(self) -> str:
+        return (f"[{format_action(self.action)}#{self.ident}]{self._sep}"
+                f"{_wrap(self.cont, _PREC_ATOM)}")
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class PrefixConsume(_Idle):
     """``a.P``: performing ``a`` replaces the whole prefix by ``P``."""
 
+    __slots__ = ()
+    _sep = "."
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class PrefixConserve(_Idle):
     """``a:P``: performing ``a`` re-arms the prefix and emits ``P`` alongside."""
 
+    __slots__ = ()
+    _sep = ":"
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class FrozenConsume(_Running):
     """``[a#l].P``: a started consuming action, identified by ``l >= 1``."""
 
+    __slots__ = ()
+    _sep = "."
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class FrozenConserve(_Running):
     """``[a#l]:P``: a started conserving action, identified by ``l >= 1``."""
 
+    __slots__ = ()
+    _sep = ":"
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class _Binary(Term):
+    __slots__ = ("left", "right")
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", self.left.ids | self.right.ids)
+    def __new__(cls, left: Term, right: Term) -> Term:
+        key = (cls, id(left), id(right))
+        ref = _TABLE.get(key)
+        return ref and ref() or cls._make(key, left, right)
+
+    def _init(self, left: Term, right: Term) -> None:
+        self.left, self.right = left, right
+        lids, rids = left.ids, right.ids
+        self.ids = lids | rids if lids and rids else lids or rids
+        self.n_frozen = left.n_frozen + right.n_frozen
+        self.n_holes = left.n_holes + right.n_holes
+        self._hash = hash((self._op, left._hash, right._hash))
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -222,30 +383,26 @@ class _Binary(Term):
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(*children)
 
+    def _show(self) -> str:
+        return f"{_wrap(self.left, self._prec + 1)}{self._op}{_wrap(self.right, self._prec)}"
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class Sum(_Binary):
     """``P + Q``: choice."""
 
+    __slots__ = ()
+    _op = " + "
+    _prec = _PREC_SUM
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, eq=False)
 class Par(_Binary):
     """``P | Q``: parallel composition."""
 
-
-@dataclass(frozen=True)
-class Const(Term):
-    """A reference to a defining equation ``name := body``."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Hole(Term):
-    """The single hole of a context; never part of a configuration."""
-
-
-HOLE = Hole()
+    __slots__ = ()
+    _op = " | "
+    _prec = _PREC_PAR
 
 
 # ---------------------------------------------------------------------------
@@ -265,33 +422,26 @@ def subterms(term: Term, descend: Optional[Callable[[Term], bool]] = None) -> It
 
 def hole_count(term: Term) -> int:
     """Number of context holes in the term."""
-    return sum(1 for t in subterms(term) if isinstance(t, Hole))
+    return term.n_holes
 
 
 def check_context(term: Term) -> None:
     """Raise ParseError unless the term is a context: exactly one hole and
     no running prefixes."""
-    holes = hole_count(term)
-    if holes != 1:
-        raise ParseError(f"a context needs exactly one hole, found {holes}")
+    if term.n_holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {term.n_holes}")
     if term.ids:
         raise ParseError("contexts are process-shaped; no running prefixes allowed")
 
 
 def is_process(term: Term) -> bool:
     """True when the term has no running prefixes (and no hole)."""
-    return not term.ids and not hole_count(term)
+    return not term.ids and not term.n_holes
 
 
 def frozen_prefix_count(term: Term) -> int:
     """Number of frozen prefix occurrences (duplicated identifiers count)."""
-    # pruned on ``ids`` and kept free of the generic walk: the interrupt cap
-    # calls this on every derivation
-    if not term.ids:
-        return 0
-    if isinstance(term, _Running):
-        return 1
-    return sum(map(frozen_prefix_count, term.children()))
+    return term.n_frozen
 
 
 def constants_of(term: Term) -> Iterator[str]:
@@ -307,54 +457,23 @@ def action_names_of(term: Term) -> set[str]:
 # ---------------------------------------------------------------------------
 # printing
 
-# Binding strength, loosest to tightest: `|` < `+` < prefix.  Both binary
-# operators associate to the right, so a left operand of its own kind needs
-# parentheses while a right operand does not.
-_PREC_PAR = 1
-_PREC_SUM = 2
-_PREC_ATOM = 3
-
-
-def _prec(term: Term) -> int:
-    if isinstance(term, Par):
-        return _PREC_PAR
-    if isinstance(term, Sum):
-        return _PREC_SUM
-    return _PREC_ATOM
-
-
-def _fmt(term: Term, min_prec: int) -> str:
-    text = _fmt_raw(term)
-    if _prec(term) < min_prec:
-        return f"({text})"
-    return text
-
-
-def _fmt_raw(term: Term) -> str:
-    if isinstance(term, Nil):
-        return "0"
-    if isinstance(term, Const):
-        return term.name
-    if isinstance(term, Hole):
-        return "[]"
-    if isinstance(term, PrefixConsume):
-        return f"{format_action(term.action)}.{_fmt(term.cont, _PREC_ATOM)}"
-    if isinstance(term, PrefixConserve):
-        return f"{format_action(term.action)}:{_fmt(term.cont, _PREC_ATOM)}"
-    if isinstance(term, FrozenConsume):
-        return f"[{format_action(term.action)}#{term.ident}].{_fmt(term.cont, _PREC_ATOM)}"
-    if isinstance(term, FrozenConserve):
-        return f"[{format_action(term.action)}#{term.ident}]:{_fmt(term.cont, _PREC_ATOM)}"
-    if isinstance(term, Sum):
-        return f"{_fmt(term.left, _PREC_ATOM)} + {_fmt(term.right, _PREC_SUM)}"
-    if isinstance(term, Par):
-        return f"{_fmt(term.left, _PREC_SUM)} | {_fmt(term.right, _PREC_PAR)}"
-    raise TypeError(f"not a term: {term!r}")
-
 
 def format_term(term: Term) -> str:
-    """Canonical text of a term; reparsing it yields a structurally equal AST."""
-    return _fmt(term, _PREC_PAR)
+    """Canonical text of a term; reparsing it yields the same term.
+
+    A node keeps its text once printed.  Printing runs bottom-up on an
+    explicit stack and stops at subterms that already have their text."""
+    if term._text is None:
+        stack = [term]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children() if c._text is None]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                node._text = node._show()
+    return term._text
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior, exit codes included."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +14,10 @@ from papc.cli import main
 from papc.parsing import parse_process
 from papc.semantics import all_steps, label_text, system_steps
 from papc.syntax import format_term
+from test_lts import GOLDEN_SYSTEM_DIGESTS
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 CELL = str(MODELS / "cell_protein.papc")
 PAIR = str(MODELS / "handshake_pair.papc")
 
@@ -20,6 +26,14 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def run_process(argv, hash_seed=0):
+    """Run papc in a fresh interpreter under the given hash seed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from papc.cli import main; sys.exit(main())",
+         *argv], capture_output=True, env=env, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +86,23 @@ def test_long_alias_chain_is_checked_and_stepped(tmp_path):
     code, output = run(["steps", str(chain), "--from", "C0"])
     assert code == 0
     assert "H 1 a+ -> [a#1].C0" in output.splitlines()
+
+
+TOO_DEEP = {
+    "wide": " | ".join(["a.0"] * 1000),
+    "nested": "(" * 400 + "a.0" + ")" * 400,
+    "long": "a." * 2000 + "0",
+}
+
+
+@pytest.mark.parametrize("name", TOO_DEEP)
+def test_too_deep_input_exits_two_without_a_traceback(tmp_path, name):
+    model = tmp_path / f"{name}.papc"
+    model.write_text(f"W := {TOO_DEEP[name]};")
+    result = run_process(["check", str(model)])
+    assert result.returncode == 2
+    assert b"Traceback" not in result.stderr
+    assert b"error: the input nests deeper than the nesting limit" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +179,25 @@ def test_lts_json_to_stdout(tmp_path):
     assert code == 0
     doc = json.loads(output[: output.rindex("}") + 1])
     assert doc["states"] == ["0"]
+
+
+def test_outputs_are_identical_across_hash_seeds(tmp_path):
+    model = tmp_path / "repl.papc"
+    model.write_text("C1 := a.(C1 | C1); C2 := a:C2;")
+    runs = {(mode, fmt): ["lts", CELL, "--mode", mode, "--max-states", "300",
+                          "--format", fmt]
+            for mode in ("all", "system") for fmt in ("aut", "json")}
+    runs["bisim"] = ["bisim", str(model), "C1", "C2", "--max-states", "40",
+                     "--max-depth", "4"]
+    for name, argv in runs.items():
+        first, second = (run_process(argv, hash_seed=seed) for seed in (0, 1))
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout), name
+        if name == "bisim":
+            assert first.returncode == 1 and b"no transition with a matching label" in first.stdout
+        else:
+            assert first.returncode == 0
+        if name[0] == "system":
+            assert hashlib.sha256(first.stdout).hexdigest() == GOLDEN_SYSTEM_DIGESTS[name[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Parser, printer, action algebra, term traversal and model validation."""
 
+import copy
 import dataclasses
+import gc
+import random
 import re
 
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import strategies as st
 
 import oracle
 import strategies
+from gen import random_configuration
+from papc import syntax
 from papc.errors import (
     ComplementOfTau,
     DuplicateDefinition,
@@ -23,6 +28,8 @@ from papc.syntax import (
     Const,
     FrozenConserve,
     FrozenConsume,
+    HOLE,
+    Hole,
     NIL,
     Par,
     PrefixConserve,
@@ -223,6 +230,68 @@ def test_traversal_agrees_with_independent_views(config):
     # strategy constants are capitalized, action names are not
     assert sorted(constants_of(config)) == sorted(re.findall(r"[A-Z]", text))
     assert action_names_of(config) == set(re.findall(r"[a-z]\w*(?=[.:#])", text))
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+terms = st.one_of(strategies.configurations, strategies.pure_terms)
+
+
+@given(terms, terms)
+def test_equal_terms_are_one_interned_object(config, other):
+    assert parse_process(format_term(config)) is config
+    assert copy.deepcopy(config) is config
+    assert (config == other) == (config is other) == (format_term(config) == format_term(other))
+
+
+@given(terms)
+def test_cached_counts_agree_with_the_walk(config):
+    for term in (config, Sum(config, HOLE), Par(HOLE, config)):
+        nodes = list(subterms(term))
+        assert term.n_frozen == sum(isinstance(t, (FrozenConsume, FrozenConserve))
+                                    for t in nodes)
+        assert term.n_holes == sum(isinstance(t, Hole) for t in nodes)
+        assert is_process(term) == (term.n_frozen == term.n_holes == 0)
+
+
+@given(strategies.actions, strategies.idents, strategies.pure_terms, terms)
+def test_constructors_return_the_requested_node(action, ident, cont, other):
+    built = []  # kept alive, so that every node below is in the table at once
+    for a in (action, complement(action)):
+        for cls, args in ((PrefixConsume, (a, cont)), (PrefixConserve, (a, cont)),
+                          (FrozenConsume, (a, ident, cont)),
+                          (FrozenConserve, (a, ident + 1, cont)),
+                          (Sum, (cont, other)), (Par, (cont, other)), (Const, (a.name,))):
+            node = cls(*args)
+            built.append(node)
+            assert type(node) is cls
+            assert tuple(getattr(node, f.name) for f in dataclasses.fields(node)) == args
+    assert len({format_term(n) for n in built}) == len(set(map(id, built)))
+
+
+def test_ill_formed_constructions_raise_every_time():
+    raised = []  # each failure's traceback stays alive through the next attempt
+    for _ in range(2):
+        for build, error in ((lambda: PrefixConsume(A, FrozenConsume(B, 1, NIL)),
+                              IllFormedPlacement),
+                             (lambda: PrefixConserve(TAU, NIL), TauInPrefix),
+                             (lambda: FrozenConsume(A, 0, NIL), ValueError)):
+            with pytest.raises(error) as info:
+                build()
+            raised.append(info)
+    assert len(raised) == 6
+
+
+def test_the_intern_table_keeps_no_term_alive():
+    gc.collect()
+    before = len(syntax._TABLE)
+    rng = random.Random(6)
+    generated = [random_configuration(rng) for _ in range(10_000)]
+    assert len(syntax._TABLE) > before
+    del generated
+    gc.collect()
+    assert len(syntax._TABLE) == before
 
 
 def test_frozen_prefix_rejected_under_prefix():
