@@ -42,7 +42,7 @@ from .syntax import (
 )
 from .parsing import parse_context, parse_definitions, parse_model, parse_process
 from .semantics import (
-    DEFAULT_INTERRUPT_CAP,
+    INTERRUPT_CAP,
     Handshake,
     Interrupt,
     CompletePreemptive,

@@ -222,6 +222,13 @@ def cmd_replay(args, out: TextIO) -> int:
 # argument parsing
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"bounds must be at least 1, got {value}")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2); keep code 3
         raise UsageError(message)
@@ -247,8 +254,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("model")
     p.add_argument("--from", dest="from_text", default=None)
     p.add_argument("--mode", choices=("all", "system"), default="all")
-    p.add_argument("--max-states", type=int, default=10_000)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-states", type=positive_int, default=10_000)
+    p.add_argument("--max-depth", type=positive_int, default=64)
     p.add_argument("--format", choices=("aut", "json"), default="aut")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_lts)
@@ -264,8 +271,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("model")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-states", type=int, default=10_000)
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-states", type=positive_int, default=10_000)
+    p.add_argument("--max-depth", type=positive_int, default=64)
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("replay", help="re-derive a recorded transcript")
@@ -284,7 +291,7 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

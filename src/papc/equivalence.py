@@ -31,13 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import IllFormedPlacement
 from .lts import Bounds
-from .semantics import (
-    DEFAULT_INTERRUPT_CAP,
-    CompleteConservative,
-    Transition,
-    all_steps,
-    label_text,
-)
+from .semantics import CompleteConservative, Transition, all_steps, label_text
 from .syntax import (
     Action,
     Definitions,
@@ -53,7 +47,6 @@ from .syntax import (
     action_names_of,
     check_context,
     format_term,
-    hole_count,
 )
 
 __all__ = [
@@ -65,7 +58,6 @@ __all__ = [
     "bisimilar",
     "verify_witness",
     "apply_context",
-    "hole_count",
     "random_context",
     "CongruenceReport",
     "congruence_probe",
@@ -126,9 +118,8 @@ class _Explorer:
     state.  Each call resumes where the last stopped.
     """
 
-    def __init__(self, roots: Iterable[Term], defs: Definitions, interrupt_cap: int):
+    def __init__(self, roots: Iterable[Term], defs: Definitions):
         self.defs = defs
-        self.interrupt_cap = interrupt_cap
         self.level: dict[Term, int] = dict.fromkeys(roots, 0)
         self.steps: dict[Term, tuple[Transition, ...]] = {}
         self._queue = deque(self.level)
@@ -139,7 +130,7 @@ class _Explorer:
         queue, level = self._queue, self.level
         while queue and level[queue[0]] <= max_level and len(level) <= limit:
             state = queue.popleft()
-            steps = all_steps(state, self.defs, interrupt_cap=self.interrupt_cap)
+            steps = all_steps(state, self.defs)
             self.steps[state] = steps
             below = level[state] + 1
             for t in steps:
@@ -259,13 +250,17 @@ def _distinguished(left: Term, right: Term, steps: dict, history: list) -> Verdi
         k -= 1
 
 
+def _check_step_mode(bounds: Bounds) -> None:
+    if bounds.step_mode != "all":
+        raise ValueError(f"bisimilarity compares all transitions, not step mode "
+                         f"{bounds.step_mode!r}")
+
+
 def bisimilar(
     left: Term,
     right: Term,
     defs: Definitions = EMPTY_DEFINITIONS,
     bounds: Bounds = Bounds(),
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
 ) -> Verdict:
     """Decide bisimilarity within bounds.
 
@@ -273,10 +268,13 @@ def bisimilar(
     otherwise refinement bounded by ``bounds.max_depth`` levels, which can
     only answer ``not-bisimilar`` (with a witness) or ``unknown``, the latter
     also once more than ``64 * bounds.max_states`` states are known.
+    Bisimilarity compares every transition, so ``bounds.step_mode`` must be
+    ``"all"``; any other mode raises ``ValueError``.
     """
+    _check_step_mode(bounds)
     if left == right:
         return Verdict(BISIMILAR, detail="identical configurations")
-    explorer = _Explorer((left, right), defs, interrupt_cap)
+    explorer = _Explorer((left, right), defs)
     if explorer.expand(math.inf, bounds.max_states):
         history = _refine(explorer)
         if history[-1][left] == history[-1][right]:
@@ -300,8 +298,6 @@ def verify_witness(
     right: Term,
     witness: Sequence[WitnessStep],
     defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
 ) -> bool:
     """Replay a witness against the engine.
 
@@ -315,10 +311,10 @@ def verify_witness(
         defender = current["right" if step.attacker == "left" else "left"]
         if step.move.source != attacker:
             return False
-        attacker_steps = all_steps(attacker, defs, interrupt_cap=interrupt_cap)
+        attacker_steps = all_steps(attacker, defs)
         if step.move not in attacker_steps:
             return False
-        defender_steps = all_steps(defender, defs, interrupt_cap=interrupt_cap)
+        defender_steps = all_steps(defender, defs)
         responses = _matching_responses(step.move, defender_steps)
         if step.response is None:
             return not responses and i == len(witness) - 1
@@ -425,20 +421,20 @@ def congruence_probe(
     n_contexts: int = 25,
     seed: int = 0,
     bounds: Bounds = Bounds(),
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
 ) -> CongruenceReport:
     """Check verified-bisimilar pairs under random contexts.
 
     Pairs that the engine cannot verify as bisimilar are rejected up front.
     A filled pair judged not bisimilar is reported as a counterexample;
-    ``unknown`` verdicts are counted but are not counterexamples.
+    ``unknown`` verdicts are counted but are not counterexamples.  As for
+    `bisimilar`, ``bounds.step_mode`` must be ``"all"``.
     """
+    _check_step_mode(bounds)
     rng = random.Random(seed)
     rejected: list[int] = []
     verified: list[tuple[int, Term, Term]] = []
     for i, (p, q) in enumerate(pairs):
-        verdict = bisimilar(p, q, defs, bounds, interrupt_cap=interrupt_cap)
+        verdict = bisimilar(p, q, defs, bounds)
         if verdict.is_bisimilar:
             verified.append((i, p, q))
         else:
@@ -457,8 +453,7 @@ def congruence_probe(
             except IllFormedPlacement:
                 continue
             checks += 1
-            verdict = bisimilar(filled_p, filled_q, defs, bounds,
-                                interrupt_cap=interrupt_cap)
+            verdict = bisimilar(filled_p, filled_q, defs, bounds)
             if verdict.is_bisimilar:
                 agreeing += 1
             elif verdict.outcome == UNKNOWN:

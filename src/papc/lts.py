@@ -18,13 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Literal
 
-from .semantics import (
-    DEFAULT_INTERRUPT_CAP,
-    Label,
-    all_steps,
-    label_text,
-    system_steps,
-)
+from .semantics import Label, all_steps, label_text, system_steps
 from .syntax import Definitions, EMPTY_DEFINITIONS, Term, format_term
 
 __all__ = ["Bounds", "Lts", "LtsStats", "build", "stats", "export"]
@@ -71,13 +65,7 @@ class LtsStats:
         return self.h_edges + self.i_edges + self.cp_edges + self.cc_edges
 
 
-def build(
-    root: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    bounds: Bounds = Bounds(),
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> Lts:
+def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bounds()) -> Lts:
     """Breadth-first exploration from ``root`` with structural deduplication.
 
     State numbering follows BFS discovery order over deterministically
@@ -95,7 +83,7 @@ def build(
         if depth[i] >= bounds.max_depth:
             truncated.add(i)
             continue
-        for t in derive(states[i], defs, interrupt_cap=interrupt_cap):
+        for t in derive(states[i], defs):
             j = index.get(t.target)
             if j is None:
                 if len(states) >= bounds.max_states:

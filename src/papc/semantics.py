@@ -60,12 +60,11 @@ from .syntax import (
     complement,
     format_action,
     format_term,
-    frozen_prefix_count,
     subterms,
 )
 
 __all__ = [
-    "DEFAULT_INTERRUPT_CAP",
+    "INTERRUPT_CAP",
     "Handshake",
     "Interrupt",
     "CompletePreemptive",
@@ -88,7 +87,7 @@ __all__ = [
     "system_steps",
 ]
 
-DEFAULT_INTERRUPT_CAP = 16
+INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +302,16 @@ _IStep = tuple[frozenset[int], Term]
 _EMPTY: frozenset[int] = frozenset()
 
 
-def _check_cap(config: Term, cap: int) -> None:
+def _check_cap(config: Term) -> None:
     """Raise ``CapExceeded`` when a top-level parallel component of the
-    configuration runs more than ``cap`` prefixes."""
+    configuration runs more than ``INTERRUPT_CAP`` prefixes."""
     if isinstance(config, Par):
-        _check_cap(config.left, cap)
-        _check_cap(config.right, cap)
-    elif frozen_prefix_count(config) > cap:
+        _check_cap(config.left)
+        _check_cap(config.right)
+    elif config.n_frozen > INTERRUPT_CAP:
         raise CapExceeded(
-            f"component {format_term(config)} has {frozen_prefix_count(config)} "
-            f"running prefixes; interrupt enumeration is capped at {cap}"
+            f"component {format_term(config)} has {config.n_frozen} "
+            f"running prefixes; interrupt enumeration is capped at {INTERRUPT_CAP}"
         )
 
 
@@ -436,7 +435,8 @@ def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set
 
 
 def _sorted_transitions(source: Term, labelled: Iterable[tuple[Label, Term]]) -> tuple[Transition, ...]:
-    transitions = {Transition(source, label, target) for label, target in labelled}
+    # each caller's steps are distinct and map one-to-one onto (label, target)
+    transitions = [Transition(source, label, target) for label, target in labelled]
     return tuple(sorted(transitions, key=transition_sort_key))
 
 
@@ -448,15 +448,10 @@ def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tupl
     )
 
 
-def interrupt_steps(
-    config: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> tuple[Transition, ...]:
+def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
-    _check_cap(config, interrupt_cap)
+    _check_cap(config)
     steps = _interrupts(config, config.ids)
     return _sorted_transitions(config, ((Interrupt(ids), t) for ids, t in steps))
 
@@ -473,42 +468,27 @@ def _conservative(config: Term, steps: Iterable[_CCStep]) -> tuple[Transition, .
     )
 
 
-def preemptive_completions(
-    config: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> tuple[Transition, ...]:
+def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every consuming completion, including coupled tau completions."""
     del defs  # completions fire on running prefixes only, never on constants
-    _check_cap(config, interrupt_cap)
+    _check_cap(config)
     return _preemptive(config, _completions(config, config.ids)[0])
 
 
-def conservative_completions(
-    config: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> tuple[Transition, ...]:
+def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every re-arming completion, the continuation riding in the label."""
     del defs
-    _check_cap(config, interrupt_cap)
+    _check_cap(config)
     return _conservative(config, _completions(config, config.ids)[1])
 
 
-def all_steps(
-    config: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> tuple[Transition, ...]:
+def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """The union of the four relations, deterministically ordered.
 
     The relation comes first in the sort key, so the four sorted tuples
     concatenate in order."""
     starts = handshake_steps(config, defs)
-    interrupts = interrupt_steps(config, interrupt_cap=interrupt_cap)
+    interrupts = interrupt_steps(config)
     cp, cc = _completions(config, config.ids)
     return starts + interrupts + _preemptive(config, cp) + _conservative(config, cc)
 
@@ -522,17 +502,12 @@ def is_system_step(t: Transition) -> bool:
     return False
 
 
-def system_steps(
-    config: Term,
-    defs: Definitions = EMPTY_DEFINITIONS,
-    *,
-    interrupt_cap: int = DEFAULT_INTERRUPT_CAP,
-) -> tuple[Transition, ...]:
+def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
     starts = [(Handshake(i, a), t) for i, a, t in _h(config, defs, frozenset()) if a.is_tau]
-    _check_cap(config, interrupt_cap)
+    _check_cap(config)
     cp, _ = _completions(config, _EMPTY)
     return _sorted_transitions(config, starts + [
         (CompletePreemptive(i, a, n), t) for i, a, n, t in cp if a.is_tau

@@ -12,10 +12,9 @@ constructors enforce that.
 
 Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes are immutable and
-hash-consed: equal terms are one interned object, so term equality is
-identity and a hash is computed once per node, from its children's.  Each
-node also keeps its identifiers, its running-prefix and hole counts, and,
-once printed, its text.
+hash-consed: equal terms are one interned object, so a term compares and
+hashes by identity.  Each node also keeps its identifiers, its running-prefix
+and hole counts, and, once printed, its text.
 
 Traversal: each node class states its shape once, as ``children()`` (its
 direct subterms, left to right) and ``rebuild(children)`` (the same node over
@@ -56,10 +55,8 @@ __all__ = [
     "Hole",
     "HOLE",
     "subterms",
-    "hole_count",
     "check_context",
     "is_process",
-    "frozen_prefix_count",
     "constants_of",
     "action_names_of",
     "format_term",
@@ -124,7 +121,10 @@ def format_action(action: Action) -> str:
 # fields and the ``id`` of each child.  Children are interned before their
 # parent and a live node holds its children, so the ids in a live node's key
 # are never reused.  Entries are weak references that drop themselves when
-# their node dies, so the table never keeps a term alive.
+# their node dies, so the table never keeps a term alive.  A term compares and
+# hashes by identity (Python's defaults), and identity hashes vary from run to
+# run, so no output order may depend on a term's hash: derived transitions are
+# sorted by a total key instead.
 
 
 class _Ref(weakref.ref):
@@ -153,18 +153,17 @@ class Term:
     """Base class of all process/configuration nodes.
 
     Nodes are interned and never change after construction: building a node
-    equal to a live one returns that one, so ``==`` is ``is``, and ``hash``
-    reads a structural hash computed once from the children's.  Next to its
-    fields each node carries, fixed at construction, ``ids`` (the
-    identifiers of its running prefixes, so that the semantics can test for
-    identifier collisions in O(1)), ``n_frozen`` (its running prefixes,
-    repeated identifiers counted) and ``n_holes`` (its context holes); it
-    keeps its printed text once ``format_term`` has made it.  ``children``
-    and ``rebuild`` give generic traversals a node's shape:
-    ``t.rebuild(t.children()) is t``.
+    equal to a live one returns that one, so ``==`` is ``is`` and ``hash`` is
+    the identity hash.  Next to its fields each node carries, fixed at
+    construction, ``ids`` (the identifiers of its running prefixes, so that
+    the semantics can test for identifier collisions in O(1)), ``n_frozen``
+    (its running prefixes, repeated identifiers counted) and ``n_holes``
+    (its context holes); it keeps its printed text once ``format_term`` has
+    made it.  ``children`` and ``rebuild`` give generic traversals a node's
+    shape: ``t.rebuild(t.children()) is t``.
     """
 
-    __slots__ = ("ids", "n_frozen", "n_holes", "_hash", "_text", "__weakref__")
+    __slots__ = ("ids", "n_frozen", "n_holes", "_text", "__weakref__")
     _prec = _PREC_ATOM
 
     def __new__(cls) -> Term:  # the leaves without fields
@@ -185,10 +184,6 @@ class Term:
 
     def _init(self) -> None:
         self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, 0
-        self._hash = hash(self._show())
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):  # copying or unpickling yields the interned node
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -274,7 +269,6 @@ class _Prefix(Term):
             )
         self.action, self.cont = action, cont
         self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, cont.n_holes
-        self._hash = hash((self._sep, action.name, action.complemented, cont._hash))
 
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
@@ -316,7 +310,6 @@ class _Running(_Prefix):
             raise ValueError("running-action identifiers start at 1")
         self.ident = ident
         self.ids, self.n_frozen = frozenset((ident,)), 1
-        self._hash = hash((self._hash, ident))
 
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, self.ident, children[0])
@@ -375,7 +368,6 @@ class _Binary(Term):
         self.ids = lids | rids if lids and rids else lids or rids
         self.n_frozen = left.n_frozen + right.n_frozen
         self.n_holes = left.n_holes + right.n_holes
-        self._hash = hash((self._op, left._hash, right._hash))
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -420,11 +412,6 @@ def subterms(term: Term, descend: Optional[Callable[[Term], bool]] = None) -> It
             stack.extend(reversed(node.children()))
 
 
-def hole_count(term: Term) -> int:
-    """Number of context holes in the term."""
-    return term.n_holes
-
-
 def check_context(term: Term) -> None:
     """Raise ParseError unless the term is a context: exactly one hole and
     no running prefixes."""
@@ -437,11 +424,6 @@ def check_context(term: Term) -> None:
 def is_process(term: Term) -> bool:
     """True when the term has no running prefixes (and no hole)."""
     return not term.ids and not term.n_holes
-
-
-def frozen_prefix_count(term: Term) -> int:
-    """Number of frozen prefix occurrences (duplicated identifiers count)."""
-    return term.n_frozen
 
 
 def constants_of(term: Term) -> Iterator[str]:

@@ -6,9 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papc.cli import main
 from papc.parsing import parse_process
@@ -69,6 +72,66 @@ def test_missing_file_is_an_io_error():
 def test_bad_usage_exits_three():
     assert main(["steps"]) == 3
     assert main(["no-such-command"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["lts", CELL, "--max-states", "0"],
+    ["lts", CELL, "--max-depth", "-1"],
+    ["bisim", CELL, "C", "C", "--max-states", "-5"],
+    ["bisim", CELL, "C", "C", "--max-depth", "0"],
+])
+def test_bounds_below_one_are_usage_errors(capsys, argv):
+    assert main(argv) == 3
+    assert "bounds must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+def test_undecodable_input_is_an_io_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfeC := a.0;\n")
+    argv = ["check", str(bad)] if command == "check" else ["replay", CELL, str(bad)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+# Fragments of the model and configuration syntax, malformed ones included,
+# so that generated texts parse now and then.
+_TEXTS = st.lists(st.sampled_from(
+    ["a", "~a", "b", "C", "X", "0", ".", ":", " | ", " + ", "(", ")", " := ", ";",
+     "[a#1]", "[~a#1]", "[a#0]", "system", "tau", "#", "\n"]), max_size=12).map("".join)
+_BYTES = st.one_of(_TEXTS.map(str.encode), st.binary(max_size=12),
+                   st.tuples(_TEXTS, st.binary(max_size=3)).map(lambda p: p[0].encode() + p[1]))
+_RECORDS = st.lists(st.one_of(
+    st.fixed_dictionaries({"config": _TEXTS}, optional={"label": st.sampled_from(
+        ["H 1 a+", "H 1 tau+", "I {}", "CP 1 a- {}", "CP 1 tau- {}"])}).map(json.dumps),
+    _TEXTS), max_size=3).map(lambda lines: "\n".join(lines).encode())
+_BOUNDS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["", "x", "1.5"]))
+
+
+@st.composite
+def _invocations(draw):
+    """argv over a model and a transcript file, and the bytes of both."""
+    command = draw(st.sampled_from(["check", "steps", "lts", "bisim", "replay"]))
+    args = {"bisim": [draw(_TEXTS), draw(_TEXTS)], "replay": ["{transcript}"]}.get(command, [])
+    flags = {"steps": ["--from", "--mode"], "lts": ["--from", "--mode", "--format"]}
+    values = {"--from": _TEXTS, "--mode": st.sampled_from(["all", "system", "none"]),
+              "--format": st.sampled_from(["aut", "json", "dot"])}
+    for flag in draw(st.lists(st.sampled_from(flags.get(command, ["--mode"])), max_size=2)):
+        args += [flag, draw(values[flag])]
+    if command in ("lts", "bisim"):  # always bounded, so every run stays small
+        args += ["--max-states", draw(_BOUNDS), "--max-depth", draw(_BOUNDS)]
+    return [command, "{model}", *args], draw(_BYTES), draw(_RECORDS)
+
+
+@settings(deadline=None)
+@given(_invocations())
+def test_main_keeps_the_exit_code_contract(invocation):
+    argv, model, transcript = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"model": Path(tmp, "model.papc"), "transcript": Path(tmp, "run.jsonl")}
+        paths["model"].write_bytes(model)
+        paths["transcript"].write_bytes(transcript)
+        assert run([arg.format(**paths) for arg in argv])[0] in (0, 1, 2, 3)
 
 
 def test_empty_model_has_no_root(tmp_path):

@@ -14,7 +14,6 @@ from papc.equivalence import (
     apply_context,
     bisimilar,
     congruence_probe,
-    hole_count,
     random_context,
     verify_witness,
 )
@@ -93,6 +92,17 @@ def test_bound_exhaustion_yields_unknown():
     q = parse_process("C2")
     verdict = bisimilar(p, q, REPLICATOR_DEFS, Bounds(max_states=5, max_depth=1))
     assert verdict.outcome == UNKNOWN
+
+
+def test_a_system_step_mode_is_refused():
+    # bisimilarity compares all four relations, so a system-mode bound would
+    # be ignored; it is refused instead, also by a probe with no pairs
+    p = parse_process("a.0")
+    system = Bounds(step_mode="system")
+    with pytest.raises(ValueError, match="step mode 'system'"):
+        bisimilar(p, p, EMPTY_DEFINITIONS, system)
+    with pytest.raises(ValueError, match="step mode 'system'"):
+        congruence_probe([], EMPTY_DEFINITIONS, bounds=system)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +240,7 @@ def test_apply_context_rejects_what_parse_context_rejects():
     running = FrozenConsume(Action("a"), 1, NIL)
     filler = parse_process("b.0")
     for ctx in (FrozenConsume(Action("a"), 1, HOLE), Par(running, HOLE)):
-        assert hole_count(ctx) == 1
+        assert ctx.n_holes == 1
         with pytest.raises(ParseError):
             parse_context(format_term(ctx))
         with pytest.raises(ParseError):
@@ -241,7 +251,7 @@ def test_random_contexts_have_one_hole():
     rng = random.Random(5)
     for _ in range(200):
         ctx = random_context(rng, ["a", "b"])
-        assert hole_count(ctx) == 1
+        assert ctx.n_holes == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 import oracle
 import strategies
 from gen import STANDARD_DEFS, random_configuration
+from papc import semantics
 from papc.errors import PapcError
 from papc.lts import Bounds, build
 from papc.parsing import parse_process
 from papc.semantics import (
-    DEFAULT_INTERRUPT_CAP,
     all_steps,
     conservative_completions,
     handshake_steps,
@@ -80,31 +80,31 @@ def test_system_filter_matches_oracle_union():
         assert filtered == closed, format_term(config)
 
 
-def _outcome(derive, config, cap):
+def _outcome(derive, config):
     try:
-        return derive(config, STANDARD_DEFS, interrupt_cap=cap)
+        return derive(config, STANDARD_DEFS)
     except PapcError as exc:
         return type(exc)
 
 
-def _filtered_all_steps(config, defs, *, interrupt_cap):
-    return tuple(t for t in all_steps(config, defs, interrupt_cap=interrupt_cap)
-                 if is_system_step(t))
+def _filtered_all_steps(config, defs):
+    return tuple(t for t in all_steps(config, defs) if is_system_step(t))
 
 
-def _assert_system_steps_are_the_filtered_union(config, cap=DEFAULT_INTERRUPT_CAP):
-    assert _outcome(system_steps, config, cap) == \
-        _outcome(_filtered_all_steps, config, cap), format_term(config)
+def _assert_system_steps_are_the_filtered_union(config):
+    assert _outcome(system_steps, config) == \
+        _outcome(_filtered_all_steps, config), format_term(config)
 
 
-def test_system_steps_are_the_filtered_union():
+def test_system_steps_are_the_filtered_union(monkeypatch):
     # a small cap on every fifth term makes both sides raise now and then
+    cap = semantics.INTERRUPT_CAP
     rng = random.Random(11)
     for i in range(500):
         config = random_configuration(rng, depth=5, max_frozen=4,
                                       distinct_ids=(i % 3 != 0))
-        _assert_system_steps_are_the_filtered_union(
-            config, 2 if i % 5 == 0 else DEFAULT_INTERRUPT_CAP)
+        monkeypatch.setattr(semantics, "INTERRUPT_CAP", 2 if i % 5 == 0 else cap)
+        _assert_system_steps_are_the_filtered_union(config)
 
 
 def test_system_steps_are_the_filtered_union_on_reachable_states():

@@ -153,17 +153,17 @@ def test_interrupts_combine_independently():
 
 def test_interrupt_cap_is_per_component():
     wide = " | ".join(f"[a#{i}].0" for i in range(1, 18))
-    interrupt_steps(parse_process(wide), interrupt_cap=16)  # 17 components of 1
+    interrupt_steps(parse_process(wide))  # 17 components of 1
     deep = " + ".join(f"[a#{i}].0" for i in range(1, 18))
     with pytest.raises(CapExceeded):
-        interrupt_steps(parse_process(deep), interrupt_cap=16)
+        interrupt_steps(parse_process(deep))
 
 
 @pytest.mark.parametrize("derive", [preemptive_completions, conservative_completions])
 def test_completions_check_the_interrupt_cap_up_front(derive):
     deep = " + ".join(f"[a#{i}].0" for i in range(1, 18))
     with pytest.raises(CapExceeded):
-        derive(parse_process(deep), interrupt_cap=16)
+        derive(parse_process(deep))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from papc.syntax import (
     complement,
     constants_of,
     format_term,
-    frozen_prefix_count,
     is_process,
     subterms,
     validate,
@@ -224,7 +223,7 @@ def test_traversal_agrees_with_independent_views(config):
     for node in walked:
         assert node.rebuild(node.children()) == node
     text = format_term(config)
-    assert frozen_prefix_count(config) == text.count("#")
+    assert config.n_frozen == text.count("#")
     assert config.ids == oracle.ids(config)
     assert is_process(config) == oracle.is_plain(config)
     # strategy constants are capitalized, action names are not
