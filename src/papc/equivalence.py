@@ -157,7 +157,7 @@ def _item(t: Transition, blocks: dict[Term, int]) -> tuple:
     if isinstance(label, CompleteConservative):
         return ("CC", label.ident, label.action, label.demanded,
                 blocks[label.continuation], blocks[t.target])
-    return (t.relation, label, blocks[t.target])
+    return (label.relation, label, blocks[t.target])
 
 
 def _refine(explorer: _Explorer, rounds: Optional[int] = None) -> list[dict[Term, int]]:

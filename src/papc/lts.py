@@ -94,7 +94,7 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
                 index[t.target] = j
                 depth.append(depth[i] + 1)
                 queue.append(j)
-            edges.append((i, t.label, t.relation, j))
+            edges.append((i, t.label, t.label.relation, j))
     return Lts(tuple(states), tuple(edges), frozenset(truncated), bounds)
 
 

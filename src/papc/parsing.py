@@ -87,9 +87,9 @@ def _lex(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() rejects some str.isdigit() digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], line, start_col))
             col += j - i

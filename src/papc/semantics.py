@@ -96,17 +96,20 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
 @dataclass(frozen=True)
 class Handshake:
+    relation = "H"
     ident: int
     action: Action
 
 
 @dataclass(frozen=True)
 class Interrupt:
+    relation = "I"
     idents: frozenset[int]
 
 
 @dataclass(frozen=True)
 class CompletePreemptive:
+    relation = "CP"
     ident: int
     action: Action
     demanded: frozenset[int]
@@ -114,6 +117,7 @@ class CompletePreemptive:
 
 @dataclass(frozen=True)
 class CompleteConservative:
+    relation = "CC"
     ident: int
     action: Action
     demanded: frozenset[int]
@@ -123,12 +127,6 @@ class CompleteConservative:
 Label = Union[Handshake, Interrupt, CompletePreemptive, CompleteConservative]
 
 RELATIONS = ("H", "I", "CP", "CC")
-_RELATION_OF = {
-    Handshake: "H",
-    Interrupt: "I",
-    CompletePreemptive: "CP",
-    CompleteConservative: "CC",
-}
 _RELATION_RANK = {tag: i for i, tag in enumerate(RELATIONS)}
 
 
@@ -137,10 +135,6 @@ class Transition:
     source: Term
     label: Label
     target: Term
-
-    @property
-    def relation(self) -> str:
-        return _RELATION_OF[type(self.label)]
 
     def __str__(self) -> str:
         return f"{label_text(self.label)} -> {format_term(self.target)}"
@@ -188,7 +182,7 @@ def label_sort_key(label: Label):
 
 
 def transition_sort_key(t: Transition):
-    return (_RELATION_RANK[t.relation], label_sort_key(t.label), format_term(t.target))
+    return (_RELATION_RANK[t.label.relation], label_sort_key(t.label), format_term(t.target))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ processes: a frozen prefix can never sit under another prefix, and the node
 constructors enforce that.
 
 Every process is a configuration, so a single node hierarchy (`Term`)
-represents both; `is_process` tells them apart.  Nodes are immutable and
-hash-consed: equal terms are one interned object, so a term compares and
-hashes by identity.  Each node also keeps its identifiers, its running-prefix
-and hole counts, and, once printed, its text.
+represents both; `is_process` tells them apart.  Nodes and actions are
+immutable and hash-consed by one constructor: equal values are one interned
+object, so they compare and hash by identity.  Each node also keeps its
+identifiers, its running-prefix and hole counts, and, once printed, its text.
 
 Traversal: each node class states its shape once, as ``children()`` (its
 direct subterms, left to right) and ``rebuild(children)`` (the same node over
@@ -69,23 +69,77 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# interning
+#
+# Actions and terms are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", ML 2006): a constructor returns the live value of the same
+# class with the same fields when there is one, and builds, checks and enters
+# a new value otherwise.  The table is keyed by the class and the fields, and
+# holds its values through weak references that drop their entry when the
+# value dies.  Values compare and hash by identity, which varies from run to
+# run, so no output order may depend on their hash: derived transitions are
+# sorted by a total key instead.
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _TABLE) -> None:
+    if table.get(ref.key) is ref:  # a newer value may hold the key by now
+        del table[ref.key]
+
+
+class _Interned:
+    """Built positionally from its dataclass fields, which ``_init`` checks."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _TABLE.get(key)  # the live value under the key, else a new one
+        return ref and ref() or cls._make(key, fields)
+
+    @classmethod
+    def _make(cls, key: tuple, fields: tuple):
+        """Build and check a value, then enter it under ``key``."""
+        value = object.__new__(cls)
+        value._init(*fields)
+        ref = _Ref(value, _forget)
+        ref.key = key
+        _TABLE[key] = ref
+        return value
+
+    def __reduce__(self):  # copying or unpickling yields the interned value
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# ---------------------------------------------------------------------------
 # actions
 
 
-@dataclass(frozen=True)
-class Action:
+@dataclass(init=False, eq=False)
+class Action(_Interned):
     """A channel name with a polarity, or the internal action tau.
 
     ``name is None`` encodes tau, which carries no polarity and cannot be
-    complemented.
+    complemented.  Actions are interned: they compare and hash by identity.
     """
 
+    __slots__ = ("name", "complemented")
     name: Optional[str]
-    complemented: bool = False
+    complemented: bool
 
-    def __post_init__(self) -> None:
-        if self.name is None and self.complemented:
+    def __new__(cls, name: Optional[str], complemented: bool = False) -> Action:
+        return super().__new__(cls, name, complemented)
+
+    def _init(self, name: Optional[str], complemented: bool) -> None:
+        if name is None and complemented:
             raise ValueError("tau has no complemented form")
+        self.name, self.complemented = name, complemented
 
     @property
     def is_tau(self) -> bool:
@@ -113,30 +167,6 @@ def format_action(action: Action) -> str:
 
 # ---------------------------------------------------------------------------
 # terms
-#
-# Terms are hash-consed (Filliatre & Conchon, "Type-safe modular
-# hash-consing", ML 2006): a constructor returns the live node of the same
-# class with the same fields when there is one, and builds, checks and
-# enters a new node otherwise.  The table is keyed by the class, the scalar
-# fields and the ``id`` of each child.  Children are interned before their
-# parent and a live node holds its children, so the ids in a live node's key
-# are never reused.  Entries are weak references that drop themselves when
-# their node dies, so the table never keeps a term alive.  A term compares and
-# hashes by identity (Python's defaults), and identity hashes vary from run to
-# run, so no output order may depend on a term's hash: derived transitions are
-# sorted by a total key instead.
-
-
-class _Ref(weakref.ref):
-    __slots__ = ("key",)
-
-
-_TABLE: dict[tuple, _Ref] = {}
-
-
-def _forget(ref: _Ref, table: dict = _TABLE) -> None:
-    if table.get(ref.key) is ref:  # a newer node may hold the key by now
-        del table[ref.key]
 
 
 _NO_IDS: frozenset[int] = frozenset()
@@ -149,44 +179,25 @@ _PREC_SUM = 2
 _PREC_ATOM = 3
 
 
-class Term:
+class Term(_Interned):
     """Base class of all process/configuration nodes.
 
-    Nodes are interned and never change after construction: building a node
-    equal to a live one returns that one, so ``==`` is ``is`` and ``hash`` is
-    the identity hash.  Next to its fields each node carries, fixed at
-    construction, ``ids`` (the identifiers of its running prefixes, so that
-    the semantics can test for identifier collisions in O(1)), ``n_frozen``
-    (its running prefixes, repeated identifiers counted) and ``n_holes``
-    (its context holes); it keeps its printed text once ``format_term`` has
-    made it.  ``children`` and ``rebuild`` give generic traversals a node's
-    shape: ``t.rebuild(t.children()) is t``.
+    Nodes are interned like actions and never change after construction:
+    building a node equal to a live one returns that one, so ``==`` is
+    ``is`` and ``hash`` is the identity hash.  Next to its fields each node
+    carries, fixed at construction, ``ids`` (the identifiers of its running
+    prefixes, so that the semantics can test for identifier collisions in
+    O(1)), ``n_frozen`` (its running prefixes, repeated identifiers counted)
+    and ``n_holes`` (its context holes); it keeps its printed text once
+    ``format_term`` has made it.  ``children`` and ``rebuild`` give generic
+    traversals a node's shape: ``t.rebuild(t.children()) is t``.
     """
 
-    __slots__ = ("ids", "n_frozen", "n_holes", "_text", "__weakref__")
+    __slots__ = ("ids", "n_frozen", "n_holes", "_text")
     _prec = _PREC_ATOM
 
-    def __new__(cls) -> Term:  # the leaves without fields
-        key = (cls,)
-        ref = _TABLE.get(key)  # the live node under the key, else a new one
-        return ref and ref() or cls._make(key)
-
-    @classmethod
-    def _make(cls, key: tuple, *fields) -> Term:
-        """Build and check a node, then enter it under ``key``."""
-        node = object.__new__(cls)
-        node._text = None
-        node._init(*fields)
-        ref = _Ref(node, _forget)
-        ref.key = key
-        _TABLE[key] = ref
-        return node
-
-    def _init(self) -> None:
-        self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, 0
-
-    def __reduce__(self):  # copying or unpickling yields the interned node
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def _init(self) -> None:  # the leaves
+        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, 0, None
 
     def children(self) -> tuple[Term, ...]:
         return ()
@@ -218,8 +229,7 @@ class Hole(Term):
     __slots__ = ()
 
     def _init(self) -> None:
-        Term._init(self)
-        self.n_holes = 1
+        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, 1, None
 
     def _show(self) -> str:
         return "[]"
@@ -234,11 +244,6 @@ class Const(Term):
 
     __slots__ = ("name",)
     name: str
-
-    def __new__(cls, name: str) -> Term:
-        key = (cls, name)
-        ref = _TABLE.get(key)
-        return ref and ref() or cls._make(key, name)
 
     def _init(self, name: str) -> None:
         self.name = name
@@ -268,7 +273,7 @@ class _Prefix(Term):
                 f"but {format_term(cont)} contains running prefixes"
             )
         self.action, self.cont = action, cont
-        self.ids, self.n_frozen, self.n_holes = _NO_IDS, 0, cont.n_holes
+        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, cont.n_holes, None
 
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
@@ -279,11 +284,6 @@ class _Idle(_Prefix):
     __slots__ = ()
     action: Action
     cont: Term
-
-    def __new__(cls, action: Action, cont: Term) -> Term:
-        key = (cls, action.name, action.complemented, id(cont))
-        ref = _TABLE.get(key)
-        return ref and ref() or cls._make(key, action, cont)
 
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, children[0])
@@ -298,11 +298,6 @@ class _Running(_Prefix):
     action: Action
     ident: int
     cont: Term
-
-    def __new__(cls, action: Action, ident: int, cont: Term) -> Term:
-        key = (cls, action.name, action.complemented, ident, id(cont))
-        ref = _TABLE.get(key)
-        return ref and ref() or cls._make(key, action, ident, cont)
 
     def _init(self, action: Action, ident: int, cont: Term) -> None:
         _Prefix._init(self, action, cont)
@@ -357,13 +352,8 @@ class _Binary(Term):
     left: Term
     right: Term
 
-    def __new__(cls, left: Term, right: Term) -> Term:
-        key = (cls, id(left), id(right))
-        ref = _TABLE.get(key)
-        return ref and ref() or cls._make(key, left, right)
-
     def _init(self, left: Term, right: Term) -> None:
-        self.left, self.right = left, right
+        self.left, self.right, self._text = left, right, None
         lids, rids = left.ids, right.ids
         self.ids = lids | rids if lids and rids else lids or rids
         self.n_frozen = left.n_frozen + right.n_frozen

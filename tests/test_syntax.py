@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 import random
 import re
 
@@ -72,6 +73,15 @@ def test_tau_has_no_complement():
 def test_tau_carries_no_polarity():
     with pytest.raises(ValueError):
         Action(None, True)
+
+
+def test_actions_are_interned():
+    a = Action("a")
+    assert Action("a", False) is a and Action("a", True) is not a
+    assert complement(complement(a)) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a and pickle.loads(pickle.dumps(TAU)) is TAU
+    assert Action.__eq__ is object.__eq__ and Action.__hash__ is object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +163,8 @@ def test_parse_error_positions():
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("bad", ["", "5", "~a", "[a#0].0", "(a.0", "a..0", "[]", "tau"])
+@pytest.mark.parametrize("bad", ["", "5", "~a", "[a#0].0", "(a.0", "a..0", "[]", "tau",
+                                 "[a#²].0", "[a#١].0"])
 def test_rejected_inputs(bad):
     with pytest.raises(ParseError):
         parse_process(bad)
@@ -275,11 +286,12 @@ def test_ill_formed_constructions_raise_every_time():
         for build, error in ((lambda: PrefixConsume(A, FrozenConsume(B, 1, NIL)),
                               IllFormedPlacement),
                              (lambda: PrefixConserve(TAU, NIL), TauInPrefix),
-                             (lambda: FrozenConsume(A, 0, NIL), ValueError)):
+                             (lambda: FrozenConsume(A, 0, NIL), ValueError),
+                             (lambda: Action(None, True), ValueError)):
             with pytest.raises(error) as info:
                 build()
             raised.append(info)
-    assert len(raised) == 6
+    assert len(raised) == 8
 
 
 def test_the_intern_table_keeps_no_term_alive():
@@ -291,6 +303,23 @@ def test_the_intern_table_keeps_no_term_alive():
     del generated
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+def test_dropping_a_deep_term_empties_the_intern_table(capfd):
+    # keys hold their fields, so each entry goes only with its node; an
+    # error in a removal callback would be printed, not raised
+    leaf = PrefixConsume(Action("deep"), NIL)  # no other test builds on it
+    gc.collect()
+    before = len(syntax._TABLE)
+    for wrap in (lambda t: PrefixConsume(leaf.action, t), lambda t: Par(leaf, t)):
+        term = leaf
+        for _ in range(100_000):
+            term = wrap(term)
+        assert len(syntax._TABLE) == before + 100_000
+        del term
+        gc.collect()
+        assert len(syntax._TABLE) == before
+    assert capfd.readouterr().err == ""
 
 
 def test_frozen_prefix_rejected_under_prefix():
