@@ -169,6 +169,8 @@ def cmd_repl(args, out: TextIO, in_stream: Optional[TextIO] = None) -> int:
             continue
         try:
             index = int(choice)
+            if index < 0:  # a negative index would count from the end
+                raise IndexError(index)
             chosen = shown[index]
         except (ValueError, IndexError):
             print(f"bad choice {choice!r}; pick an index, u or q", file=out)

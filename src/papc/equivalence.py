@@ -151,13 +151,12 @@ def _after(t: Transition) -> tuple[Term, ...]:
 
 def _item(t: Transition, blocks: dict[Term, int]) -> tuple:
     """A transition's part of its source's signature: its label and target
-    block, or for a conservative completion the matched label fields and the
-    continuation and target blocks."""
+    block, or for a conservative completion the matched label fields
+    (identifier, action, demanded set) and the continuation and target blocks."""
     label = t.label
     if isinstance(label, CompleteConservative):
-        return ("CC", label.ident, label.action, label.demanded,
-                blocks[label.continuation], blocks[t.target])
-    return (label.relation, label, blocks[t.target])
+        return (label[:3], blocks[label.continuation], blocks[t.target])
+    return (label, blocks[t.target])
 
 
 def _refine(explorer: _Explorer, rounds: Optional[int] = None) -> list[dict[Term, int]]:
@@ -199,13 +198,8 @@ def _matching_responses(move: Transition, defender_steps: Sequence[Transition]):
     """
     label = move.label
     if isinstance(label, CompleteConservative):
-        return [
-            t for t in defender_steps
-            if isinstance(t.label, CompleteConservative)
-            and t.label.ident == label.ident
-            and t.label.action == label.action
-            and t.label.demanded == label.demanded
-        ]
+        return [t for t in defender_steps
+                if isinstance(t.label, CompleteConservative) and t.label[:3] == label[:3]]
     return [t for t in defender_steps if t.label == label]
 
 

@@ -35,13 +35,16 @@ derived directly rather than filtered out of ``all_steps``.  Interrupt
 choices multiply per running prefix, so I, CP, CC, ``all_steps`` and
 ``system_steps`` all first check the same cap over the top-level parallel
 components, and raise ``CapExceeded`` instead of sampling.
+
+Labels and ``Transition`` are named tuples that compare and hash in C.  A
+label equals the plain tuple of its fields; labels of different relations
+differ in arity, so never compare equal.  Each label prints and orders itself.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import CapExceeded, IdentifierCollision, UnguardedRecursion
 from .syntax import (
@@ -71,9 +74,7 @@ __all__ = [
     "CompleteConservative",
     "Label",
     "Transition",
-    "RELATIONS",
     "label_text",
-    "label_sort_key",
     "transition_sort_key",
     "actions_at",
     "rename_id",
@@ -94,44 +95,62 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 # labels and transitions
 
 
-@dataclass(frozen=True)
-class Handshake:
-    relation = "H"
+class Handshake(NamedTuple):
     ident: int
     action: Action
+    relation = "H"
+
+    def _show(self) -> str:
+        return f"H {self.ident} {format_action(self.action)}+"
+
+    def _key(self) -> tuple:
+        return (0, self.ident, _action_key(self.action))
 
 
-@dataclass(frozen=True)
-class Interrupt:
-    relation = "I"
+class Interrupt(NamedTuple):
     idents: frozenset[int]
+    relation = "I"
+
+    def _show(self) -> str:
+        return f"I {_set_text(self.idents)}"
+
+    def _key(self) -> tuple:
+        return (1, tuple(sorted(self.idents)))
 
 
-@dataclass(frozen=True)
-class CompletePreemptive:
-    relation = "CP"
+class CompletePreemptive(NamedTuple):
     ident: int
     action: Action
     demanded: frozenset[int]
+    relation = "CP"
+
+    def _show(self) -> str:
+        return f"CP {self.ident} {format_action(self.action)}- {_set_text(self.demanded)}"
+
+    def _key(self) -> tuple:
+        return (2, self.ident, _action_key(self.action), tuple(sorted(self.demanded)))
 
 
-@dataclass(frozen=True)
-class CompleteConservative:
-    relation = "CC"
+class CompleteConservative(NamedTuple):
     ident: int
     action: Action
     demanded: frozenset[int]
     continuation: Term
+    relation = "CC"
+
+    def _show(self) -> str:
+        return (f"CC {self.ident} {format_action(self.action)}- "
+                f"{_set_text(self.demanded)} -> {format_term(self.continuation)}")
+
+    def _key(self) -> tuple:
+        return (3, self.ident, _action_key(self.action), tuple(sorted(self.demanded)),
+                format_term(self.continuation))
 
 
 Label = Union[Handshake, Interrupt, CompletePreemptive, CompleteConservative]
 
-RELATIONS = ("H", "I", "CP", "CC")
-_RELATION_RANK = {tag: i for i, tag in enumerate(RELATIONS)}
 
-
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: Term
     label: Label
     target: Term
@@ -144,45 +163,20 @@ def _set_text(idents: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(idents)) + "}"
 
 
-def label_text(label: Label) -> str:
-    """Deterministic one-line serialization used by exports and the CLI."""
-    if isinstance(label, Handshake):
-        return f"H {label.ident} {format_action(label.action)}+"
-    if isinstance(label, Interrupt):
-        return f"I {_set_text(label.idents)}"
-    if isinstance(label, CompletePreemptive):
-        return f"CP {label.ident} {format_action(label.action)}- {_set_text(label.demanded)}"
-    if isinstance(label, CompleteConservative):
-        return (
-            f"CC {label.ident} {format_action(label.action)}- "
-            f"{_set_text(label.demanded)} -> {format_term(label.continuation)}"
-        )
-    raise TypeError(f"not a label: {label!r}")
-
-
-def _action_key(action: Action):
+def _action_key(action: Action) -> tuple:
     if action.name is None:
         return (0, "", False)
     return (1, action.name, action.complemented)
 
 
-def label_sort_key(label: Label):
-    if isinstance(label, Handshake):
-        return (label.ident, _action_key(label.action))
-    if isinstance(label, Interrupt):
-        return (tuple(sorted(label.idents)),)
-    if isinstance(label, CompletePreemptive):
-        return (label.ident, _action_key(label.action), tuple(sorted(label.demanded)))
-    return (
-        label.ident,
-        _action_key(label.action),
-        tuple(sorted(label.demanded)),
-        format_term(label.continuation),
-    )
+def label_text(label: Label) -> str:
+    """Deterministic one-line serialization used by exports and the CLI."""
+    return label._show()
 
 
-def transition_sort_key(t: Transition):
-    return (_RELATION_RANK[t.label.relation], label_sort_key(t.label), format_term(t.target))
+def transition_sort_key(t: Transition) -> tuple:
+    """Relation first, then the label's fields, then the printed target."""
+    return (t.label._key(), format_term(t.target))
 
 
 # ---------------------------------------------------------------------------
@@ -428,52 +422,36 @@ def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set
 # public operations
 
 
-def _sorted_transitions(source: Term, labelled: Iterable[tuple[Label, Term]]) -> tuple[Transition, ...]:
-    # each caller's steps are distinct and map one-to-one onto (label, target)
-    transitions = [Transition(source, label, target) for label, target in labelled]
+def _sorted_transitions(source: Term, label_class: type, steps: Iterable[tuple]) -> tuple[Transition, ...]:
+    # each step holds its label's fields, then its target; steps are distinct
+    transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in steps]
     return tuple(sorted(transitions, key=transition_sort_key))
 
 
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    steps = _h(config, defs, frozenset())
-    return _sorted_transitions(
-        config, ((Handshake(i, a), t) for i, a, t in steps)
-    )
+    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset()))
 
 
 def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    steps = _interrupts(config, config.ids)
-    return _sorted_transitions(config, ((Interrupt(ids), t) for ids, t in steps))
-
-
-def _preemptive(config: Term, steps: Iterable[_CPStep]) -> tuple[Transition, ...]:
-    return _sorted_transitions(
-        config, ((CompletePreemptive(i, a, n), t) for i, a, n, t in steps)
-    )
-
-
-def _conservative(config: Term, steps: Iterable[_CCStep]) -> tuple[Transition, ...]:
-    return _sorted_transitions(
-        config, ((CompleteConservative(i, a, n, c), t) for i, a, n, c, t in steps)
-    )
+    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids))
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every consuming completion, including coupled tau completions."""
     del defs  # completions fire on running prefixes only, never on constants
     _check_cap(config)
-    return _preemptive(config, _completions(config, config.ids)[0])
+    return _sorted_transitions(config, CompletePreemptive, _completions(config, config.ids)[0])
 
 
 def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every re-arming completion, the continuation riding in the label."""
     del defs
     _check_cap(config)
-    return _conservative(config, _completions(config, config.ids)[1])
+    return _sorted_transitions(config, CompleteConservative, _completions(config, config.ids)[1])
 
 
 def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -484,7 +462,8 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Tran
     starts = handshake_steps(config, defs)
     interrupts = interrupt_steps(config)
     cp, cc = _completions(config, config.ids)
-    return starts + interrupts + _preemptive(config, cp) + _conservative(config, cc)
+    return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp)
+            + _sorted_transitions(config, CompleteConservative, cc))
 
 
 def is_system_step(t: Transition) -> bool:
@@ -500,9 +479,8 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[T
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
-    starts = [(Handshake(i, a), t) for i, a, t in _h(config, defs, frozenset()) if a.is_tau]
+    starts = [step for step in _h(config, defs, frozenset()) if step[1].is_tau]
     _check_cap(config)
-    cp, _ = _completions(config, _EMPTY)
-    return _sorted_transitions(config, starts + [
-        (CompletePreemptive(i, a, n), t) for i, a, n, t in cp if a.is_tau
-    ])
+    cp = [step for step in _completions(config, _EMPTY)[0] if step[1].is_tau]
+    return (_sorted_transitions(config, Handshake, starts)
+            + _sorted_transitions(config, CompletePreemptive, cp))

@@ -332,6 +332,22 @@ def test_repl_undo_returns_to_the_previous_state(tmp_path):
     assert records == [{"config": "C | A | B"}]
 
 
+def test_repl_rejects_a_negative_choice(tmp_path):
+    import argparse
+
+    from papc.cli import cmd_repl
+
+    transcript = tmp_path / "session.jsonl"
+    stdin = io.StringIO("-1\nq\n")
+    args = argparse.Namespace(model=PAIR, from_text=None,
+                              transcript=str(transcript))
+    out = io.StringIO()
+    assert cmd_repl(args, out, in_stream=stdin) == 0
+    assert "bad choice '-1'" in out.getvalue()
+    records = [json.loads(line) for line in transcript.read_text().splitlines()]
+    assert records == [{"config": "a.0 | ~a.0"}]
+
+
 def test_golden_scenarios_replay(tmp_path):
     for name in ("cell_protein_divide_first.replay", "cell_protein_produce_first.replay"):
         code, output = run(["replay", CELL, str(MODELS / name)])

@@ -1,5 +1,8 @@
 """Transition derivation: auxiliary functions and the five relations."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -11,6 +14,7 @@ from papc.semantics import (
     CompletePreemptive,
     Handshake,
     Interrupt,
+    Transition,
     actions_at,
     all_steps,
     conservative_completions,
@@ -22,7 +26,7 @@ from papc.semantics import (
     system_steps,
     transition_sort_key,
 )
-from papc.syntax import Action, TAU, format_term
+from papc.syntax import Action, TAU, Term, format_term
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
 
@@ -275,6 +279,48 @@ def test_transition_order_is_deterministic():
     steps = all_steps(S2, DEFS)
     assert list(steps) == sorted(steps, key=transition_sort_key)
     assert all_steps(parse_process(format_term(S2)), DEFS) == steps
+
+
+def test_labels_of_different_relations_never_compare_equal():
+    ident, action, demanded = 1, Action("a"), frozenset({1})
+    labels = [
+        Handshake(ident, action),
+        Interrupt(demanded),
+        CompletePreemptive(ident, action, demanded),
+        CompleteConservative(ident, action, demanded, parse_process("0")),
+    ]
+    assert all(a != b for i, a in enumerate(labels) for b in labels[i + 1:])
+    assert len(set(labels)) == 4
+    transition = Transition(parse_process("a.0"), labels[0], parse_process("[a#1].0"))
+    assert all(label != transition for label in labels)
+
+
+def test_transitions_survive_pickle_and_deepcopy():
+    for t in all_steps(S2, DEFS):
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.deepcopy(t) == t
+
+
+_RANK = {Handshake: 0, Interrupt: 1, CompletePreemptive: 2, CompleteConservative: 3}
+
+
+def _field_key(value):
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    if isinstance(value, Action):  # tau first, then by name and polarity
+        return (value.name is not None, value.name or "", value.complemented)
+    if isinstance(value, Term):
+        return format_term(value)
+    return value
+
+
+@given(strategies.configurations)
+def test_transition_order_matches_an_independent_key(config):
+    # relation, then the label fields in order (sets sorted, the
+    # continuation printed), then the printed target
+    keys = [(_RANK[type(t.label)], tuple(_field_key(v) for v in t.label),
+             format_term(t.target)) for t in all_steps(config, DEFS)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # ---------------------------------------------------------------------------
