@@ -13,9 +13,10 @@ per edge, and a structured JSON form embedding full configuration texts.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
+from json import dumps
+from json.encoder import encode_basestring_ascii
 from typing import Literal
 
 from .semantics import Label, all_steps, label_text, system_steps
@@ -72,6 +73,7 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
     ordered transitions, so identical inputs build identical systems.
     """
     derive = system_steps if bounds.step_mode == "system" else all_steps
+    memo: dict = {}  # subterm derivations shared by the states; dropped on return
     states: list[Term] = [root]
     index: dict[Term, int] = {root: 0}
     depth: list[int] = [0]
@@ -83,7 +85,7 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
         if depth[i] >= bounds.max_depth:
             truncated.add(i)
             continue
-        for t in derive(states[i], defs):
+        for t in derive(states[i], defs, memo):
             j = index.get(t.target)
             if j is None:
                 if len(states) >= bounds.max_states:
@@ -120,24 +122,31 @@ def _export_aut(lts: Lts) -> bytes:
 
 
 def _export_json(lts: Lts) -> bytes:
-    doc = {
-        "root": 0,
-        "step_mode": lts.bounds.step_mode,
-        "max_states": lts.bounds.max_states,
-        "max_depth": lts.bounds.max_depth,
-        "states": [format_term(s) for s in lts.states],
-        "edges": [
-            {
-                "source": src,
-                "relation": relation,
-                "label": label_text(label),
-                "target": dst,
-            }
-            for src, label, relation, dst in lts.edges
-        ],
-        "truncated": sorted(lts.truncated),
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # the bytes of json.dumps(doc, indent=2, sort_keys=True), written
+    # directly: the indenting encoder runs in pure Python; the bounds are
+    # whatever the caller passed, so they keep the encoder's form
+    text = encode_basestring_ascii
+    edges = [
+        f'    {{\n      "label": {text(label_text(label))},\n'
+        f'      "relation": {text(relation)},\n'
+        f'      "source": {src},\n      "target": {dst}\n    }}'
+        for src, label, relation, dst in lts.edges
+    ]
+    states = [f"    {text(format_term(s))}" for s in lts.states]
+    truncated = [f"    {i}" for i in sorted(lts.truncated)]
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n'
+        f'  "max_depth": {dumps(lts.bounds.max_depth)},\n'
+        f'  "max_states": {dumps(lts.bounds.max_states)},\n'
+        f'  "root": 0,\n'
+        f'  "states": {_json_list(states)},\n'
+        f'  "step_mode": {text(lts.bounds.step_mode)},\n'
+        f'  "truncated": {_json_list(truncated)}\n}}\n'
+    ).encode("ascii")
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def export(lts: Lts, fmt: Literal["aut", "json"]) -> bytes:

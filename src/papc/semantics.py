@@ -28,6 +28,13 @@ Constants unfold through every relation except ``I``, where plain processes
 (constants and the inert term included) keep the empty self-loop untouched.
 All functions are pure; transition sets come back deterministically ordered.
 
+Successive states of a build share most of their subterms as the same
+interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
+``interrupt_steps`` take an optional memo: a dict from non-trivial subterms
+(with the part of the budget they hold) to their derivations, which lets
+states derive a shared subterm once.  Derivation stays pure: ``lts.build``
+owns one memo for one call and drops it on return; none is global.
+
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
 ``system_steps`` runs it with an empty budget, so closed-system steps are
@@ -89,6 +96,11 @@ __all__ = [
 ]
 
 INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
+
+# Derivations of subterms shared by the states of one build, keyed by an
+# interned node for ``_h``, by ``(node, ids)`` for ``_interrupts`` and by
+# ``(ids, node)`` for ``_completions``; values are tuples.
+Memo = dict
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,7 @@ def _rename(config: Term, old: int, new: int) -> Term:
 
 def fresh_id(used: Iterable[int]) -> int:
     """The least positive identifier not in ``used``."""
-    taken = set(used)
+    taken = used if isinstance(used, (set, frozenset)) else set(used)
     i = 1
     while i in taken:
         i += 1
@@ -229,11 +241,12 @@ _STARTED = {PrefixConsume: FrozenConsume, PrefixConserve: FrozenConserve}
 _IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
 
 
-def _h(config: Term, defs: Definitions, unfolding: frozenset[str]) -> set[_HStep]:
+def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
+       memo: Memo | None = None) -> Iterable[_HStep]:
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
         body = defs.get(config.name)
         if body is None:
-            return set()
+            return ()
         if config.name in unfolding:
             raise UnguardedRecursion(
                 f"constant {config.name!r} unfolds to itself without passing a prefix"
@@ -242,44 +255,53 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str]) -> set[_HStep
         config = body
     started = _STARTED.get(type(config))
     if started is not None:
-        return {(1, config.action, started(config.action, 1, config.cont))}
-    if isinstance(config, (Sum, Par)):
-        node = type(config)
-        left, right = config.left, config.right
-        used = left.ids | right.ids
-        out: set[_HStep] = set()
-        left_steps = _h(left, defs, unfolding)
-        right_steps = _h(right, defs, unfolding)
-        for ident, action, target in left_steps:
-            if ident not in right.ids:
-                out.add((ident, action, node(target, right)))
-            else:
-                fresh = fresh_id(used)
-                out.add((fresh, action, node(rename_id(target, ident, fresh), right)))
-        for ident, action, target in right_steps:
-            if ident not in left.ids:
-                out.add((ident, action, node(left, target)))
-            else:
-                fresh = fresh_id(used)
-                out.add((fresh, action, node(left, rename_id(target, ident, fresh))))
-        if isinstance(config, Par):
-            # complementary starts couple into one tau start with a shared
-            # identifier fresh for the whole composite
-            for lid, laction, ltarget in left_steps:
-                if laction.is_tau:
-                    continue
-                partner = complement(laction)
-                for rid, raction, rtarget in right_steps:
-                    if raction == partner:
-                        fresh = fresh_id(used)
-                        out.add((
-                            fresh,
-                            TAU,
-                            Par(rename_id(ltarget, lid, fresh),
-                                rename_id(rtarget, rid, fresh)),
-                        ))
-        return out
-    return set()  # inert, running prefixes and unbound constants
+        return ((1, config.action, started(config.action, 1, config.cont)),)
+    if not isinstance(config, (Sum, Par)):
+        return ()  # inert and running prefixes
+    node = type(config)
+    left, right = config.left, config.right
+    fresh = fresh_id(config.ids)  # the least identifier unused in the composite
+    out: set[_HStep] = set()
+    derive = _h if memo is None else _shared_h
+    left_steps = derive(left, defs, unfolding, memo)
+    right_steps = derive(right, defs, unfolding, memo)
+    for ident, action, target in left_steps:
+        if ident not in right.ids:
+            out.add((ident, action, node(target, right)))
+        else:
+            out.add((fresh, action, node(rename_id(target, ident, fresh), right)))
+    for ident, action, target in right_steps:
+        if ident not in left.ids:
+            out.add((ident, action, node(left, target)))
+        else:
+            out.add((fresh, action, node(left, rename_id(target, ident, fresh))))
+    if node is Par:
+        # complementary starts couple into one tau start with a shared
+        # identifier fresh for the whole composite
+        for lid, laction, ltarget in left_steps:
+            if laction.is_tau:
+                continue
+            partner = complement(laction)
+            for rid, raction, rtarget in right_steps:
+                if raction == partner:
+                    out.add((fresh, TAU, Par(rename_id(ltarget, lid, fresh),
+                                             rename_id(rtarget, rid, fresh))))
+    return out
+
+
+def _shared_h(config: Term, defs: Definitions, unfolding: frozenset[str],
+              memo: Memo) -> Iterable[_HStep]:
+    """``_h`` of a subterm through the memo, keyed by the node alone.
+
+    ``unfolding`` only decides whether ``UnguardedRecursion`` is raised.  A
+    raising call stores nothing, and a node that derived once reaches no
+    unguarded cycle, so it cannot raise under another unfolding set."""
+    if not isinstance(config, (Sum, Par, Const)):
+        return _h(config, defs, unfolding)  # a leaf: nothing worth storing
+    steps = memo.get(config)
+    if steps is None:
+        steps = memo[config] = tuple(_h(config, defs, unfolding, memo))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +325,35 @@ def _check_cap(config: Term) -> None:
         )
 
 
-def _interrupts(config: Term, allowed: frozenset[int]) -> set[_IStep]:
+def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed >= config.ids`` gives the
     whole relation."""
     if config.ids.isdisjoint(allowed):
-        return {(_EMPTY, config)}
+        return ((_EMPTY, config),)
     idle = _IDLE.get(type(config))
     if idle is not None:
-        return {(config.ids, idle(config.action, config.cont)), (_EMPTY, config)}
+        return ((config.ids, idle(config.action, config.cont)), (_EMPTY, config))
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
+    derive = _interrupts if memo is None else _shared_interrupts
     return {
         (lids | rids, node(ltarget, rtarget))
         for (lids, ltarget), (rids, rtarget) in itertools.product(
-            _interrupts(config.left, allowed), _interrupts(config.right, allowed)
+            derive(config.left, allowed, memo), derive(config.right, allowed, memo)
         )
     }
+
+
+def _shared_interrupts(config: Term, allowed: frozenset[int], memo: Memo) -> Iterable[_IStep]:
+    """``_interrupts`` of a subterm through the memo, keyed by the node and
+    the allowed identifiers it holds."""
+    if not isinstance(config, (Sum, Par)) or config.ids.isdisjoint(allowed):
+        return _interrupts(config, allowed)
+    key = (config, allowed & config.ids)
+    steps = memo.get(key)
+    if steps is None:
+        steps = memo[key] = tuple(_interrupts(config, allowed, memo))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +363,8 @@ _CPStep = tuple[int, Action, frozenset[int], Term]
 _CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuation, target)
 
 
-def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set[_CCStep]]:
+def _completions(config: Term, outer: frozenset[int],
+                 memo: Memo | None = None) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
 
@@ -338,16 +374,18 @@ def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set
     enclosing composition, a step demanding anything else can never reach
     the root demanding nothing, so it is pruned: the interrupts that would
     add such an identifier are not enumerated at all.  ``outer = config.ids``
-    prunes nothing.
+    prunes nothing.  Only ``outer & config.ids`` matters.
     """
     if not config.ids:
-        return set(), set()
+        return (), ()
     if isinstance(config, FrozenConsume):
-        return {(config.ident, config.action, _EMPTY, config.cont)}, set()
+        return ((config.ident, config.action, _EMPTY, config.cont),), ()
     if isinstance(config, FrozenConserve):
         rearmed = PrefixConserve(config.action, config.cont)
-        return set(), {(config.ident, config.action, _EMPTY, config.cont, rearmed)}
+        return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
     left, right = config.left, config.right
+    completions = _completions if memo is None else _shared_completions
+    interrupts = _interrupts if memo is None else _shared_interrupts
     cp: set[_CPStep] = set()
     cc: set[_CCStep] = set()
     if isinstance(config, Sum):
@@ -355,29 +393,29 @@ def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set
         # running actions (so fits the budget only if they do), a
         # conservative one those it chose to interrupt
         for this, other, flip in ((left, right, False), (right, left, True)):
-            this_cp, this_cc = _completions(this, outer)
+            this_cp, this_cc = completions(this, outer, memo)
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
                     cp.add((ident, action, demanded | other.ids, target))
-            choices = _interrupts(other, other.ids & outer) if this_cc else ()
+            choices = interrupts(other, other.ids & outer, memo) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
                     cc.add((ident, action, demanded | interrupted, cont,
                             Sum(rest, target) if flip else Sum(target, rest)))
         return cp, cc
-    cp_left, cc_left = _completions(left, outer | right.ids)
-    cp_right, cc_right = _completions(right, outer | left.ids)
+    cp_left, cc_left = completions(left, outer | right.ids, memo)
+    cp_right, cc_right = completions(right, outer | left.ids, memo)
     for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
                                           (cp_right, cc_right, left, True)):
         # a completion on one side; the other side interrupts at least the
         # demanded actions it hosts, and demands satisfied inside vanish
-        choices_for: dict[frozenset[int], set[_IStep]] = {}
+        choices_for: dict[frozenset[int], Iterable[_IStep]] = {}
         for ident, action, demanded, target in this_cp:
             required = other.ids & demanded
             allowed = other.ids & (demanded | outer)
             choices = choices_for.get(allowed)
             if choices is None:
-                choices = choices_for[allowed] = _interrupts(other, allowed)
+                choices = choices_for[allowed] = interrupts(other, allowed, memo)
             for interrupted, rest in choices:
                 if interrupted >= required:
                     cp.add((ident, action, (demanded | interrupted) - required,
@@ -418,6 +456,21 @@ def _completions(config: Term, outer: frozenset[int]) -> tuple[set[_CPStep], set
     return cp, cc
 
 
+def _shared_completions(config: Term, outer: frozenset[int],
+                        memo: Memo) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
+    """``_completions`` of a subterm through the memo, keyed by the node and
+    the part of the budget it holds.  The key is ``(ids, node)``, the
+    reverse of an interrupt key, so the two never collide."""
+    if not config.ids or not isinstance(config, (Sum, Par)):
+        return _completions(config, outer)
+    key = (outer & config.ids, config)
+    found = memo.get(key)
+    if found is None:
+        cp, cc = _completions(config, outer, memo)
+        found = memo[key] = (tuple(cp), tuple(cc))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -428,16 +481,18 @@ def _sorted_transitions(source: Term, label_class: type, steps: Iterable[tuple])
     return tuple(sorted(transitions, key=transition_sort_key))
 
 
-def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
+def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
+                    memo: Memo | None = None) -> tuple[Transition, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset()))
+    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset(), memo))
 
 
-def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
+def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
+                    memo: Memo | None = None) -> tuple[Transition, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids))
+    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids, memo))
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -454,14 +509,15 @@ def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS
     return _sorted_transitions(config, CompleteConservative, _completions(config, config.ids)[1])
 
 
-def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
+def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
+              memo: Memo | None = None) -> tuple[Transition, ...]:
     """The union of the four relations, deterministically ordered.
 
     The relation comes first in the sort key, so the four sorted tuples
     concatenate in order."""
-    starts = handshake_steps(config, defs)
-    interrupts = interrupt_steps(config)
-    cp, cc = _completions(config, config.ids)
+    starts = handshake_steps(config, defs, memo)
+    interrupts = interrupt_steps(config, defs, memo)
+    cp, cc = _completions(config, config.ids, memo)
     return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp)
             + _sorted_transitions(config, CompleteConservative, cc))
 
@@ -475,12 +531,13 @@ def is_system_step(t: Transition) -> bool:
     return False
 
 
-def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
+def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
+                 memo: Memo | None = None) -> tuple[Transition, ...]:
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
-    starts = [step for step in _h(config, defs, frozenset()) if step[1].is_tau]
+    starts = [step for step in _h(config, defs, frozenset(), memo) if step[1].is_tau]
     _check_cap(config)
-    cp = [step for step in _completions(config, _EMPTY)[0] if step[1].is_tau]
+    cp = [step for step in _completions(config, _EMPTY, memo)[0] if step[1].is_tau]
     return (_sorted_transitions(config, Handshake, starts)
             + _sorted_transitions(config, CompletePreemptive, cp))

@@ -1,9 +1,12 @@
 """Bounded state-space construction, statistics and exports."""
 
+import gc
 import hashlib
+import json
 
 import pytest
 
+from papc import syntax
 from papc.lts import Bounds, build, export, stats
 from papc.parsing import parse_definitions, parse_process
 from papc.semantics import all_steps, label_text
@@ -117,6 +120,64 @@ def test_system_mode_exports_match_the_golden_digests():
     assert (len(lts.states), len(lts.edges)) == (300, 621)
     for fmt, digest in GOLDEN_SYSTEM_DIGESTS.items():
         assert hashlib.sha256(export(lts, fmt)).hexdigest() == digest
+
+
+# sha256 of the all-mode exports of `C | A | B` at max_states=300
+GOLDEN_ALL_DIGESTS = {
+    "aut": "3bca262f000fedd7bcf70c731de23b6f2424a328582224eabff0ba2ffdf7935d",
+    "json": "5e8944efb0af59e18aeac040d65811f0e6bb2544185183ed6e7238bdd001f001",
+}
+
+
+def test_all_mode_exports_match_the_golden_digests():
+    lts = build(parse_process("C | A | B"), DEFS, Bounds(max_states=300))
+    assert (len(lts.states), len(lts.edges), len(lts.truncated)) == (300, 2181, 197)
+    for fmt, digest in GOLDEN_ALL_DIGESTS.items():
+        assert hashlib.sha256(export(lts, fmt)).hexdigest() == digest
+
+
+def test_a_build_keeps_no_term_alive_once_dropped():
+    # the derivation memo lives for one build call only; names no other
+    # test uses, so no term of this build was alive before it
+    defs = parse_definitions("Cx := x.(Cx | Cx) + y:0; Ax := ~x.(Ax | Ax); Bx := ~y:0;")
+    gc.collect()
+    before = len(syntax._TABLE)
+    lts = build(parse_process("Cx | Ax | Bx"), defs, Bounds(max_states=200))
+    assert len(syntax._TABLE) > before + 200
+    del lts
+    gc.collect()
+    assert len(syntax._TABLE) == before
+
+
+def _reference_json(lts):
+    doc = {
+        "root": 0,
+        "step_mode": lts.bounds.step_mode,
+        "max_states": lts.bounds.max_states,
+        "max_depth": lts.bounds.max_depth,
+        "states": [format_term(s) for s in lts.states],
+        "edges": [{"source": s, "relation": r, "label": label_text(label), "target": d}
+                  for s, label, r, d in lts.edges],
+        "truncated": sorted(lts.truncated),
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", ["all", "system"])
+@pytest.mark.parametrize("root, max_states", [
+    ("0", 1),              # no edges, nothing truncated
+    ("C | A | B", 1),      # a single truncated state
+    ("C | A | B", 40),
+    ("Zellé | Ω", 300),    # non-ASCII names print as \u escapes
+    ("a.0", True),         # Bounds accepts a bool, printed as JSON prints it
+])
+def test_json_export_matches_the_standard_encoder(mode, root, max_states):
+    defs = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;"
+                             "Zellé := a.(Zellé | Ω); Ω := ~a.0;")
+    lts = build(parse_process(root), defs, Bounds(max_states=max_states, step_mode=mode))
+    out = export(lts, "json")
+    assert out == _reference_json(lts)
+    assert out.isascii()
 
 
 def test_aut_shape():

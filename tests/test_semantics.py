@@ -2,12 +2,16 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 
 import strategies
-from papc.errors import CapExceeded, IdentifierCollision, UnguardedRecursion
+from gen import random_configuration
+from papc import semantics
+from papc.errors import CapExceeded, IdentifierCollision, PapcError, UnguardedRecursion
+from papc.lts import Bounds, build
 from papc.parsing import parse_definitions, parse_process
 from papc.semantics import (
     CompleteConservative,
@@ -368,3 +372,61 @@ def test_conserving_completions_rearm_their_action(config):
     for t in conservative_completions(config):
         restarts = {u.label.action for u in handshake_steps(t.target, DEFS)}
         assert t.label.action in restarts
+
+
+# ---------------------------------------------------------------------------
+# the derivation memo a build shares between its states
+
+
+def _outcome(derive, config, defs, *memo):
+    try:
+        return derive(config, defs, *memo)
+    except PapcError as exc:
+        return "raised", type(exc), str(exc)
+
+
+# One memo serves both step modes.  Their completions run under different
+# demand budgets, and system_steps goes first, so an entry keyed without its
+# budget would hand all_steps completions pruned for the closed system.
+
+
+@pytest.mark.parametrize("mode", ["all", "system"])
+def test_a_shared_memo_derives_what_each_state_derives_alone(mode):
+    states = build(S, DEFS, Bounds(max_states=200, step_mode=mode)).states
+    memo = {}
+    for state in states:
+        for derive in (system_steps, all_steps):
+            assert derive(state, DEFS, memo) == derive(state, DEFS), format_term(state)
+    assert memo
+
+
+def test_a_shared_memo_derives_what_generated_terms_derive_alone(monkeypatch):
+    # a small cap on every fifth term must still raise
+    cap = semantics.INTERRUPT_CAP
+    rng = random.Random(12)
+    memo = {}
+    capped = 0
+    for i in range(300):
+        config = random_configuration(rng, depth=5, max_frozen=4,
+                                      distinct_ids=(i % 3 != 0))
+        monkeypatch.setattr(semantics, "INTERRUPT_CAP", 2 if i % 5 == 0 else cap)
+        for derive in (system_steps, all_steps):
+            alone = _outcome(derive, config, DEFS)
+            assert _outcome(derive, config, DEFS, memo) == alone, format_term(config)
+            capped += alone[:2] == ("raised", CapExceeded)
+    assert capped
+
+
+def test_a_shared_memo_keeps_unguarded_recursion_loud():
+    defs = parse_definitions("X := X + a.0; Y := b.0 | Z; Z := c.0 + ~b.0; W := Y | W;")
+    memo = {}
+    raised = []
+    # siblings stored first, then states that reach a cycle beside them
+    for text in ("Y | a.0", "Y | X", "(b.0 | Z) | X", "Z + X", "Y | a.0",
+                 "W", "Y | W", "X | W", "W | X", "Y | X"):
+        config = parse_process(text)
+        alone = _outcome(all_steps, config, defs)
+        assert _outcome(all_steps, config, defs, memo) == alone, text
+        if alone[:2] == ("raised", UnguardedRecursion):
+            raised.append(alone[2].split()[1])
+    assert raised == ["'X'", "'X'", "'X'", "'W'", "'W'", "'X'", "'W'", "'X'"]
