@@ -17,6 +17,7 @@ error, 2 unknown verdict or an exhausted bound (the nesting limit included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -236,6 +237,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first call to main, not at import
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="papc", description=__doc__,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -300,8 +302,8 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except RecursionError:
-        # wide parallels, deep parentheses and long prefix chains are still
-        # parsed and derived recursively
+        # deep parentheses and long prefix chains are still parsed
+        # recursively, and every term is still derived recursively
         print("error: the input nests deeper than the nesting limit "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_UNKNOWN

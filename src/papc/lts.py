@@ -35,6 +35,10 @@ class Bounds:
     step_mode: Literal["all", "system"] = "all"
 
     def __post_init__(self) -> None:
+        for name in ("max_states", "max_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.max_states < 1 or self.max_depth < 1:
             raise ValueError("bounds must be at least 1")
         if self.step_mode not in ("all", "system"):

@@ -2,8 +2,8 @@
 
 Grammar, loosest to tightest (both binary operators associate right):
 
-    par     := sum ('|' par)?
-    sum     := prefix ('+' sum)?
+    par     := sum ('|' sum)*
+    sum     := prefix ('+' prefix)*
     prefix  := '0'
              | action '.' prefix | action ':' prefix
              | '[' action '#' INT ']' '.' prefix
@@ -144,19 +144,30 @@ class _Parser:
 
     # -- grammar
 
+    # A chain of one operator is read in a loop and folded from the right,
+    # so its width costs no stack.  Each level of parentheses still costs
+    # three frames (par, sum, prefix); the two loops stay inline because a
+    # shared helper would add a fourth and halve the nesting that fits.
+
     def parse_par(self) -> Term:
-        left = self.parse_sum()
-        if self.peek().kind == "|":
+        operands = [self.parse_sum()]
+        while self.peek().kind == "|":
             self.next()
-            return Par(left, self.parse_par())
-        return left
+            operands.append(self.parse_sum())
+        term = operands.pop()
+        while operands:
+            term = Par(operands.pop(), term)
+        return term
 
     def parse_sum(self) -> Term:
-        left = self.parse_prefix()
-        if self.peek().kind == "+":
+        operands = [self.parse_prefix()]
+        while self.peek().kind == "+":
             self.next()
-            return Sum(left, self.parse_sum())
-        return left
+            operands.append(self.parse_prefix())
+        term = operands.pop()
+        while operands:
+            term = Sum(operands.pop(), term)
+        return term
 
     def parse_action(self) -> Action:
         complemented = False

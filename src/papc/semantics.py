@@ -206,7 +206,9 @@ def rename_id(config: Term, old: int, new: int) -> Term:
 
     ``new`` must not already identify a different running action.
     """
-    if new != old and new in config.ids:
+    if new == old:
+        return config
+    if new in config.ids:
         raise IdentifierCollision(
             f"renaming {old} to {new} would collide in {format_term(config)}"
         )

@@ -14,7 +14,11 @@ Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes and actions are
 immutable and hash-consed by one constructor: equal values are one interned
 object, so they compare and hash by identity.  Each node also keeps its
-identifiers, its running-prefix and hole counts, and, once printed, its text.
+identifiers and its running-prefix and hole counts.  Printing goes by chains:
+a right-nested run of one binary operator (``a | b | c``), or a run of
+prefixes (``a.b:c.0``), prints in one pass, and only the chain's head keeps
+the text, so a printed chain holds text in proportion to its length, not to
+its square.
 
 Traversal: each node class states its shape once, as ``children()`` (its
 direct subterms, left to right) and ``rebuild(children)`` (the same node over
@@ -188,8 +192,9 @@ class Term(_Interned):
     carries, fixed at construction, ``ids`` (the identifiers of its running
     prefixes, so that the semantics can test for identifier collisions in
     O(1)), ``n_frozen`` (its running prefixes, repeated identifiers counted)
-    and ``n_holes`` (its context holes); it keeps its printed text once
-    ``format_term`` has made it.  ``children`` and ``rebuild`` give generic
+    and ``n_holes`` (its context holes).  A node that ``format_term``
+    printed as the head of a chain keeps the chain's text; the nodes inside
+    the chain keep none.  ``children`` and ``rebuild`` give generic
     traversals a node's shape: ``t.rebuild(t.children()) is t``.
     """
 
@@ -278,6 +283,17 @@ class _Prefix(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
 
+    def _show(self) -> str | list[Term]:
+        # this prefix and the ones under it, up to the first continuation
+        # that is no prefix or has text
+        heads, node = [self._head()], self.cont
+        while isinstance(node, _Prefix) and node._text is None:
+            heads.append(node._head())
+            node = node.cont
+        if node._text is None:
+            return [node]
+        return "".join(heads) + _wrap(node, _PREC_ATOM)
+
 
 @dataclass(init=False, eq=False)
 class _Idle(_Prefix):
@@ -288,8 +304,8 @@ class _Idle(_Prefix):
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, children[0])
 
-    def _show(self) -> str:
-        return f"{format_action(self.action)}{self._sep}{_wrap(self.cont, _PREC_ATOM)}"
+    def _head(self) -> str:
+        return f"{format_action(self.action)}{self._sep}"
 
 
 @dataclass(init=False, eq=False)
@@ -309,9 +325,8 @@ class _Running(_Prefix):
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(self.action, self.ident, children[0])
 
-    def _show(self) -> str:
-        return (f"[{format_action(self.action)}#{self.ident}]{self._sep}"
-                f"{_wrap(self.cont, _PREC_ATOM)}")
+    def _head(self) -> str:
+        return f"[{format_action(self.action)}#{self.ident}]{self._sep}"
 
 
 @dataclass(init=False, eq=False)
@@ -365,8 +380,24 @@ class _Binary(Term):
     def rebuild(self, children: Sequence[Term]) -> Term:
         return type(self)(*children)
 
-    def _show(self) -> str:
-        return f"{_wrap(self.left, self._prec + 1)}{self._op}{_wrap(self.right, self._prec)}"
+    def _show(self) -> str | list[Term]:
+        # the left operands down the right-nested chain of this operator,
+        # then its tail: the first right operand of another kind or with text
+        operands, node, kind = [self.left], self.right, type(self)
+        while type(node) is kind and node._text is None:
+            operands.append(node.left)
+            node = node.right
+        operands.append(node)
+        for t in operands:
+            if t._text is None:
+                return [t for t in operands if t._text is None]
+        # _wrap inlined over a wide chain: a left operand is parenthesized
+        # unless it binds tighter, the tail only when it binds looser
+        prec = self._prec
+        parts = [t._text if t._prec > prec else f"({t._text})" for t in operands]
+        if node._prec == prec:
+            parts[-1] = node._text
+        return self._op.join(parts)
 
 
 @dataclass(init=False, eq=False)
@@ -433,18 +464,22 @@ def action_names_of(term: Term) -> set[str]:
 def format_term(term: Term) -> str:
     """Canonical text of a term; reparsing it yields the same term.
 
-    A node keeps its text once printed.  Printing runs bottom-up on an
-    explicit stack and stops at subterms that already have their text."""
+    A node prints a whole chain in one pass: a binary node the right-nested
+    operands of its own operator, a prefix the prefixes under it.  Only the
+    chain's head keeps the text, so a printed chain holds text in proportion
+    to its length, and printing a node costs about the length of its text.
+    Printing runs bottom-up on an explicit stack and stops at subterms that
+    already have their text."""
     if term._text is None:
         stack = [term]
         while stack:
             node = stack[-1]
-            todo = [c for c in node.children() if c._text is None]
-            if todo:
-                stack += todo
-            else:
+            shown = node._show()  # its text, or the subterms to print first
+            if type(shown) is str:
                 stack.pop()
-                node._text = node._show()
+                node._text = shown
+            else:
+                stack += shown
     return term._text
 
 

@@ -85,6 +85,17 @@ def test_bounds_below_one_are_usage_errors(capsys, argv):
     assert "bounds must be at least 1" in capsys.readouterr().err
 
 
+def test_bounds_from_the_command_line_reach_the_export(capsys):
+    code, output = run(["lts", CELL, "--max-states", "3", "--max-depth", "2",
+                        "--format", "json"])
+    assert code == 0
+    record = json.loads(output)
+    assert (record["max_states"], record["max_depth"]) == (3, 2)
+    assert len(record["states"]) == 3
+    assert main(["lts", CELL, "--max-depth", "2.5"]) == 3
+    assert "invalid positive_int value: '2.5'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["check", "replay"])
 def test_undecodable_input_is_an_io_error(tmp_path, capsys, command):
     bad = tmp_path / "bad"
@@ -151,21 +162,35 @@ def test_long_alias_chain_is_checked_and_stepped(tmp_path):
     assert "H 1 a+ -> [a#1].C0" in output.splitlines()
 
 
+WIDE = " | ".join(["a.0"] * 1000)
+
+# the command that goes too deep on each input: a wide parallel parses and
+# prints, but its derivation still recurses down the spine
 TOO_DEEP = {
-    "wide": " | ".join(["a.0"] * 1000),
-    "nested": "(" * 400 + "a.0" + ")" * 400,
-    "long": "a." * 2000 + "0",
+    "wide": ("steps", WIDE),
+    "nested": ("check", "(" * 400 + "a.0" + ")" * 400),
+    "long": ("check", "a." * 2000 + "0"),
 }
 
 
 @pytest.mark.parametrize("name", TOO_DEEP)
 def test_too_deep_input_exits_two_without_a_traceback(tmp_path, name):
+    command, text = TOO_DEEP[name]
     model = tmp_path / f"{name}.papc"
-    model.write_text(f"W := {TOO_DEEP[name]};")
-    result = run_process(["check", str(model)])
+    model.write_text(f"W := {text};")
+    extra = ["--from", text] if command == "steps" else []
+    result = run_process([command, str(model), *extra])
     assert result.returncode == 2
     assert b"Traceback" not in result.stderr
     assert b"error: the input nests deeper than the nesting limit" in result.stderr
+
+
+def test_a_wide_parallel_is_checked(tmp_path):
+    model = tmp_path / "wide.papc"
+    model.write_text(f"W := {WIDE};")
+    result = run_process(["check", str(model)])
+    assert result.returncode == 0
+    assert result.stdout.endswith(b": 1 definition(s), 0 error(s), 0 warning(s)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, reject, settings
 
 import bisim_oracle
+import strategies
 from gen import random_process
 from papc.equivalence import (
     BISIMILAR,
@@ -27,7 +29,8 @@ from papc.semantics import (
     all_steps,
     label_text,
 )
-from papc.syntax import HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Par, format_term
+from papc.syntax import (HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Par, Sum,
+                         format_term)
 
 REPLICATOR_DEFS = parse_definitions("C1 := a.(C1 | C1); C2 := a:C2;")
 SMALL = Bounds(max_states=60, max_depth=6)
@@ -214,6 +217,54 @@ def test_transitivity_on_a_triple():
     assert bisimilar(p, q, EMPTY_DEFINITIONS, ROOMY).is_bisimilar
     assert bisimilar(q, r, EMPTY_DEFINITIONS, ROOMY).is_bisimilar
     assert bisimilar(p, r, EMPTY_DEFINITIONS, ROOMY).is_bisimilar
+
+
+# ---------------------------------------------------------------------------
+# the laws of | and +
+#
+# Identifiers are compared verbatim, and where a start, a demand or a
+# coupled continuation lands depends on how `|` is bracketed, so `|` is
+# neither associative nor commutative up to bisimilarity, on plain processes
+# too.  The engine and the rule oracle agree on this: it is the rules as
+# written, not a defect of either.
+
+
+@pytest.mark.parametrize("left,right,moves,finite", [
+    ("(a.0 | a.0) | ~a.0", "a.0 | (a.0 | ~a.0)", 4, True),
+    # the conserving prefix spawns copies without end: no finite joint space
+    ("g:g:0 | ~g:b.0", "~g:b.0 | g:g:0", 5, False),
+])
+def test_par_is_neither_associative_nor_commutative(left, right, moves, finite):
+    p, q = parse_process(left), parse_process(right)
+    verdict = bisimilar(p, q, EMPTY_DEFINITIONS, ROOMY)
+    assert verdict.outcome == NOT_BISIMILAR
+    assert len(verdict.witness) == moves
+    assert verify_witness(p, q, verdict.witness, EMPTY_DEFINITIONS)
+    if finite:
+        assert oracle_verdict(p, q, EMPTY_DEFINITIONS) is False
+
+
+LAWS = {
+    "par-unit-right": lambda p, q, r: (Par(p, NIL), p),
+    "par-unit-left": lambda p, q, r: (Par(NIL, p), p),
+    "sum-unit-right": lambda p, q, r: (Sum(p, NIL), p),
+    "sum-unit-left": lambda p, q, r: (Sum(NIL, p), p),
+    "sum-commutative": lambda p, q, r: (Sum(p, q), Sum(q, p)),
+    "sum-associative": lambda p, q, r: (Sum(Sum(p, q), r), Sum(p, Sum(q, r))),
+}
+
+
+@pytest.mark.parametrize("law", LAWS)
+@settings(max_examples=15, deadline=None)
+@given(p=strategies.pure_terms, q=strategies.pure_terms, r=strategies.pure_terms)
+def test_laws_that_hold_on_small_spaces(law, p, q, r):
+    left, right = LAWS[law](p, q, r)
+    try:
+        space = bisim_oracle.joint_space((left, right), EMPTY_DEFINITIONS, limit=40)
+    except RuntimeError:
+        reject()
+    assert (left, right) in bisim_oracle.largest_bisimulation(space)
+    assert bisimilar(left, right, EMPTY_DEFINITIONS, ROOMY).outcome == BISIMILAR
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,6 @@ def _reference_json(lts):
     ("C | A | B", 1),      # a single truncated state
     ("C | A | B", 40),
     ("Zellé | Ω", 300),    # non-ASCII names print as \u escapes
-    ("a.0", True),         # Bounds accepts a bool, printed as JSON prints it
 ])
 def test_json_export_matches_the_standard_encoder(mode, root, max_states):
     defs = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;"
@@ -226,3 +225,12 @@ def test_bounds_validation():
         Bounds(max_states=0)
     with pytest.raises(ValueError):
         Bounds(step_mode="everything")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_states", True), ("max_depth", False), ("max_depth", 2.5),
+    ("max_states", 10.0), ("max_states", "10"), ("max_depth", None),
+])
+def test_bounds_must_be_ints(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an int"):
+        Bounds(**{field: value})

@@ -1,11 +1,13 @@
 """Parser, printer, action algebra, term traversal and model validation."""
 
+import contextlib
 import copy
 import dataclasses
 import gc
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -32,6 +34,7 @@ from papc.syntax import (
     HOLE,
     Hole,
     NIL,
+    Nil,
     Par,
     PrefixConserve,
     PrefixConsume,
@@ -200,7 +203,108 @@ def test_format_prefix_continuation_parentheses():
 
 @given(strategies.configurations)
 def test_print_parse_round_trip(term):
+    assert format_term(term) == reference_text(term)
     assert parse_process(format_term(term)) == term
+
+
+# A recursive printer with one rule per node, kept as the reference for the
+# chain printer: both binary operators associate to the right, so a left
+# operand binding no tighter than its parent is parenthesised, a right one
+# only when it binds looser; prefix continuations bind tightest.
+_PREC = {Par: 1, Sum: 2}
+_OP = {Par: " | ", Sum: " + "}
+
+
+def _action_text(action):
+    return ("~" if action.complemented else "") + action.name
+
+
+def reference_text(term, min_prec=0):
+    prec = _PREC.get(type(term), 3)
+    if type(term) in _OP:
+        text = (reference_text(term.left, prec + 1) + _OP[type(term)]
+                + reference_text(term.right, prec))
+    elif isinstance(term, (PrefixConsume, PrefixConserve)):
+        sep = "." if isinstance(term, PrefixConsume) else ":"
+        text = _action_text(term.action) + sep + reference_text(term.cont, 3)
+    elif isinstance(term, (FrozenConsume, FrozenConserve)):
+        sep = "." if isinstance(term, FrozenConsume) else ":"
+        text = f"[{_action_text(term.action)}#{term.ident}]{sep}" + reference_text(term.cont, 3)
+    else:
+        text = {Nil: "0", Hole: "[]"}.get(type(term)) or term.name
+    return f"({text})" if prec < min_prec else text
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    # the reference printer and the prefix parser recurse once per level
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _component(i):
+    # prefixes, running prefixes, sums and a parenthesised parallel in turn
+    return [PrefixConsume(A, NIL), FrozenConserve(B, i + 1, Const("C")),
+            Sum(PrefixConserve(G, NIL), Const("D")), Par(PrefixConsume(B, NIL), Const("E")),
+            Sum(Sum(Const("C"), Const("D")), PrefixConsume(A, Par(NIL, NIL)))][i % 5]
+
+
+def _right_fold(node, operands):
+    term = operands[-1]
+    for operand in reversed(operands[:-1]):
+        term = node(operand, term)
+    return term
+
+
+def _prefix_chain(length, tail):
+    term = tail
+    for i in range(length):
+        term = (PrefixConsume, PrefixConserve)[i % 2](A if i % 3 else B, term)
+    return FrozenConsume(G, 1, term)
+
+
+WIDE_TERMS = {
+    "wide par": lambda: _right_fold(Par, [_component(i) for i in range(1000)]),
+    "sum chain": lambda: _right_fold(Sum, [_component(i) for i in range(60)]),
+    "par of sum chains": lambda: _right_fold(Par, [
+        _right_fold(Sum, [_component(i + j) for j in range(5)]) for i in range(40)]),
+    "left-nested operands": lambda: _right_fold(Par, [
+        _right_fold(Par, [_component(i), _component(i + 1), _component(i + 2)])
+        for i in range(50)] + [_right_fold(Sum, [Sum(Const("C"), Const("D"))] * 3)]),
+    "prefix chain": lambda: _prefix_chain(3000, Sum(Const("C"), Par(NIL, Const("D")))),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_TERMS)
+def test_chains_print_as_the_reference_and_reparse(name):
+    term = WIDE_TERMS[name]()
+    printed = format_term(term)  # iterative: within the default limit
+    with recursion_limit(10_000):
+        assert printed == reference_text(term)
+        assert parse_process(printed) is term
+
+
+@pytest.mark.parametrize("name", WIDE_TERMS)
+def test_chains_printed_after_their_parts_print_the_same(name):
+    # a chain whose inner nodes already hold text stops there and uses it
+    term = WIDE_TERMS[name]()
+    nodes = list(subterms(term))
+    for node in random.Random(name).sample(nodes, 20):
+        format_term(node)
+    printed = format_term(term)
+    with recursion_limit(10_000):
+        assert printed == reference_text(term)
+
+
+def test_a_printed_prefix_chain_holds_text_in_proportion_to_its_length():
+    chain = _prefix_chain(3000, PrefixConsume(Action("held"), NIL))
+    printed = format_term(chain)
+    held = sum(len(node._text) for node in subterms(chain) if node._text is not None)
+    assert held <= 2 * len(printed)
 
 
 @given(strategies.actions)
