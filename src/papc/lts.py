@@ -48,7 +48,12 @@ class Bounds:
 @dataclass(frozen=True)
 class Lts:
     """States (index 0 is the root), labelled edges, and the indices whose
-    outgoing transitions were not fully expanded because a bound was hit."""
+    outgoing transitions were not fully expanded because a bound was hit.
+
+    A state is truncated when it lies at ``max_depth`` (it is not expanded)
+    or when it has a step into a new state while ``max_states`` states are
+    known (that step's edge is left out; its edges into known states are
+    kept)."""
 
     states: tuple[Term, ...]
     edges: tuple[tuple[int, Label, str, int], ...]
@@ -75,6 +80,13 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
 
     State numbering follows BFS discovery order over deterministically
     ordered transitions, so identical inputs build identical systems.
+
+    Once ``bounds.max_states`` states are known when a state's expansion
+    starts, only its edges into known states can be kept: the derivation is
+    given the state index as ``known``, so only those edges are built and
+    ordered, and the state is truncated if it had any other step.  A sorted
+    list filtered to known targets equals the filter of the fully sorted
+    list, so the edges are those a full sort would keep.
     """
     derive = system_steps if bounds.step_mode == "system" else all_steps
     memo: dict = {}  # subterm derivations shared by the states; dropped on return
@@ -89,7 +101,11 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
         if depth[i] >= bounds.max_depth:
             truncated.add(i)
             continue
-        for t in derive(states[i], defs, memo):
+        known = index if len(states) >= bounds.max_states else None
+        for t in derive(states[i], defs, memo, known):
+            if t is None:  # a step into a new state, left out at the bound
+                truncated.add(i)
+                break
             j = index.get(t.target)
             if j is None:
                 if len(states) >= bounds.max_states:

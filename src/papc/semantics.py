@@ -43,6 +43,12 @@ choices multiply per running prefix, so I, CP, CC, ``all_steps`` and
 ``system_steps`` all first check the same cap over the top-level parallel
 components, and raise ``CapExceeded`` instead of sampling.
 
+A caller that keeps only transitions into targets it already knows passes
+them as ``known`` to the same four functions: the steps into other targets
+are then derived but never built as transitions, printed or sorted, and each
+is counted by a None after the ordered transitions kept.  ``lts.build`` does
+this once its state bound is reached.
+
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
 differ in arity, so never compare equal.  Each label prints and orders itself.
@@ -51,7 +57,7 @@ differ in arity, so never compare equal.  Each label prints and orders itself.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Union
+from typing import Collection, Container, Iterable, NamedTuple, Optional, Union
 
 from .errors import CapExceeded, IdentifierCollision, UnguardedRecursion
 from .syntax import (
@@ -101,6 +107,8 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 # interned node for ``_h``, by ``(node, ids)`` for ``_interrupts`` and by
 # ``(ids, node)`` for ``_completions``; values are tuples.
 Memo = dict
+
+Known = Optional[Container[Term]]  # the only targets a caller keeps, or None for all
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +324,21 @@ _EMPTY: frozenset[int] = frozenset()
 
 def _check_cap(config: Term) -> None:
     """Raise ``CapExceeded`` when a top-level parallel component of the
-    configuration runs more than ``INTERRUPT_CAP`` prefixes."""
-    if isinstance(config, Par):
-        _check_cap(config.left)
-        _check_cap(config.right)
-    elif config.n_frozen > INTERRUPT_CAP:
-        raise CapExceeded(
-            f"component {format_term(config)} has {config.n_frozen} "
-            f"running prefixes; interrupt enumeration is capped at {INTERRUPT_CAP}"
-        )
+    configuration runs more than ``INTERRUPT_CAP`` prefixes; the leftmost
+    such component is named."""
+    if config.n_frozen <= INTERRUPT_CAP:
+        return  # no component can exceed the cap
+    stack = [config]  # a loop, not recursion: the spine may be arbitrarily wide
+    while stack:
+        config = stack.pop()
+        if config.n_frozen <= INTERRUPT_CAP:
+            continue
+        if not isinstance(config, Par):
+            raise CapExceeded(
+                f"component {format_term(config)} has {config.n_frozen} "
+                f"running prefixes; interrupt enumeration is capped at {INTERRUPT_CAP}"
+            )
+        stack += (config.right, config.left)  # the left one is checked first
 
 
 def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None) -> Iterable[_IStep]:
@@ -477,24 +491,28 @@ def _shared_completions(config: Term, outer: frozenset[int],
 # public operations
 
 
-def _sorted_transitions(source: Term, label_class: type, steps: Iterable[tuple]) -> tuple[Transition, ...]:
-    # each step holds its label's fields, then its target; steps are distinct
-    transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in steps]
-    return tuple(sorted(transitions, key=transition_sort_key))
+def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple],
+                        known: Known = None) -> tuple[Transition | None, ...]:
+    # each step holds its label's fields, then its target; steps are distinct.
+    # With ``known``, a step into any other target is not built and is
+    # counted by a trailing None
+    kept = steps if known is None else [step for step in steps if step[-1] in known]
+    transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in kept]
+    return tuple(sorted(transitions, key=transition_sort_key)) + (None,) * (len(steps) - len(kept))
 
 
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-                    memo: Memo | None = None) -> tuple[Transition, ...]:
+                    memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset(), memo))
+    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset(), memo), known)
 
 
 def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-                    memo: Memo | None = None) -> tuple[Transition, ...]:
+                    memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids, memo))
+    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids, memo), known)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -512,16 +530,17 @@ def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS
 
 
 def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-              memo: Memo | None = None) -> tuple[Transition, ...]:
+              memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """The union of the four relations, deterministically ordered.
 
     The relation comes first in the sort key, so the four sorted tuples
     concatenate in order."""
-    starts = handshake_steps(config, defs, memo)
-    interrupts = interrupt_steps(config, defs, memo)
+    starts = handshake_steps(config, defs, memo, known)
+    interrupts = interrupt_steps(config, defs, memo, known)
     cp, cc = _completions(config, config.ids, memo)
-    return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp)
-            + _sorted_transitions(config, CompleteConservative, cc))
+    steps = (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp, known)
+             + _sorted_transitions(config, CompleteConservative, cc, known))
+    return steps if known is None else _left_out_last(steps)
 
 
 def is_system_step(t: Transition) -> bool:
@@ -534,12 +553,20 @@ def is_system_step(t: Transition) -> bool:
 
 
 def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-                 memo: Memo | None = None) -> tuple[Transition, ...]:
+                 memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
     starts = [step for step in _h(config, defs, frozenset(), memo) if step[1].is_tau]
     _check_cap(config)
     cp = [step for step in _completions(config, _EMPTY, memo)[0] if step[1].is_tau]
-    return (_sorted_transitions(config, Handshake, starts)
-            + _sorted_transitions(config, CompletePreemptive, cp))
+    steps = (_sorted_transitions(config, Handshake, starts, known)
+             + _sorted_transitions(config, CompletePreemptive, cp, known))
+    return steps if known is None else _left_out_last(steps)
+
+
+def _left_out_last(steps: tuple[Transition | None, ...]) -> tuple[Transition | None, ...]:
+    # each relation's left-out steps trail its own transitions; move them all
+    # behind the last relation's
+    kept = tuple(t for t in steps if t is not None)
+    return kept + (None,) * (len(steps) - len(kept))

@@ -4,12 +4,17 @@ import gc
 import hashlib
 import json
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gen import STANDARD_DEFS, random_process
 from papc import syntax
 from papc.lts import Bounds, build, export, stats
 from papc.parsing import parse_definitions, parse_process
-from papc.semantics import all_steps, label_text
+from papc.semantics import all_steps, label_text, system_steps
 from papc.syntax import format_term
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
@@ -234,3 +239,61 @@ def test_bounds_validation():
 def test_bounds_must_be_ints(field, value):
     with pytest.raises(TypeError, match=f"{field} must be an int"):
         Bounds(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# the builder against a naive one
+
+
+def reference_build(root, defs, bounds):
+    """Breadth-first, each state's complete step set with no memo and no
+    ``known``, keeping the edges into indexed states."""
+    derive = system_steps if bounds.step_mode == "system" else all_steps
+    states, index, depth, edges, truncated = [root], {root: 0}, [0], [], set()
+    for i, state in enumerate(states):  # states grows as it is read: a FIFO queue
+        if depth[i] >= bounds.max_depth:
+            truncated.add(i)
+            continue
+        for t in derive(state, defs):
+            if t.target not in index:
+                if len(states) >= bounds.max_states:
+                    truncated.add(i)
+                    continue
+                index[t.target] = len(states)
+                states.append(t.target)
+                depth.append(depth[i] + 1)
+            edges.append((i, t.label, t.label.relation, index[t.target]))
+    return tuple(states), tuple(edges), frozenset(truncated)
+
+
+def assert_builds_like_the_reference(root, defs, bounds):
+    lts = build(root, defs, bounds)
+    assert (lts.states, lts.edges, lts.truncated) == reference_build(root, defs, bounds)
+    return lts
+
+
+@pytest.mark.parametrize("mode", ["all", "system"])
+@pytest.mark.parametrize("max_states", [1, 2, 7, 40, 300])
+@pytest.mark.parametrize("root", ["C | A | B", "a.0 | ~a.0"])
+def test_build_matches_a_naive_builder(root, max_states, mode):
+    assert_builds_like_the_reference(parse_process(root), DEFS,
+                                     Bounds(max_states=max_states, step_mode=mode))
+
+
+def test_the_bound_reached_partway_through_a_state():
+    # the root's first new target takes the last free index; its later new
+    # targets are dropped after the full sort, its self-loop is kept
+    lts = assert_builds_like_the_reference(parse_process("a.0 | ~a.0"), EMPTY,
+                                           Bounds(max_states=2))
+    assert len(all_steps(lts.states[0], EMPTY)) > 2
+    assert {dst for src, _, _, dst in lts.edges if src == 0} == {0, 1}
+    assert lts.truncated == {0, 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_states=st.integers(1, 30),
+       mode=st.sampled_from(["all", "system"]))
+def test_build_matches_a_naive_builder_on_random_processes(seed, max_states, mode):
+    root = random_process(random.Random(seed), 3)
+    assert_builds_like_the_reference(root, STANDARD_DEFS,
+                                     Bounds(max_states=max_states, max_depth=6, step_mode=mode))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import strategies
 from gen import random_configuration
@@ -30,7 +31,7 @@ from papc.semantics import (
     system_steps,
     transition_sort_key,
 )
-from papc.syntax import Action, TAU, Term, format_term
+from papc.syntax import NIL, Action, Par, PrefixConsume, TAU, Term, format_term
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
 
@@ -172,6 +173,36 @@ def test_completions_check_the_interrupt_cap_up_front(derive):
     deep = " + ".join(f"[a#{i}].0" for i in range(1, 18))
     with pytest.raises(CapExceeded):
         derive(parse_process(deep))
+
+
+def _wide(last, width=1_500):
+    # a.0 | (a.0 | ... (a.0 | last)), built directly: deeper than the
+    # interpreter's recursion limit
+    term = last
+    for _ in range(width - 1):
+        term = Par(PrefixConsume(Action("a"), NIL), term)
+    return term
+
+
+@pytest.mark.parametrize("derive", [interrupt_steps, preemptive_completions,
+                                    conservative_completions])
+def test_the_cap_check_walks_a_wide_parallel_in_a_loop(derive):
+    plain = _wide(PrefixConsume(Action("a"), NIL))
+    got = derive(plain)
+    assert [t.target for t in got] == ([plain] if derive is interrupt_steps else [])
+    capped = parse_process(" + ".join(f"[a#{i}].0" for i in range(1, 18)))
+    message = (f"component {format_term(capped)} has 17 running prefixes; "
+               f"interrupt enumeration is capped at 16")
+    with pytest.raises(CapExceeded) as raised:
+        derive(_wide(capped))
+    assert str(raised.value) == message
+
+
+def test_the_cap_check_names_the_leftmost_component_over_the_cap():
+    left = parse_process(" + ".join(f"[a#{i}].0" for i in range(1, 18)))
+    right = parse_process(" + ".join(f"[b#{i}].0" for i in range(18, 36)))
+    with pytest.raises(CapExceeded, match=r"^component \[a#1\]"):
+        interrupt_steps(Par(right.left, Par(left, right)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +356,19 @@ def test_transition_order_matches_an_independent_key(config):
     keys = [(_RANK[type(t.label)], tuple(_field_key(v) for v in t.label),
              format_term(t.target)) for t in all_steps(config, DEFS)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@given(strategies.configurations, st.data())
+def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
+    # the steps into other targets are each counted by a trailing None
+    for derive in (handshake_steps, interrupt_steps, all_steps, system_steps):
+        full = derive(config, DEFS)
+        targets = sorted({t.target for t in full}, key=format_term)
+        known = set(data.draw(st.lists(st.sampled_from(targets), unique=True)
+                              if targets else st.just([])))
+        memo = {} if data.draw(st.booleans()) else None
+        kept = [t for t in full if t.target in known]
+        assert derive(config, DEFS, memo, known) == (*kept, *[None] * (len(full) - len(kept)))
 
 
 # ---------------------------------------------------------------------------
