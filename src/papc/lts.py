@@ -105,7 +105,7 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
         for t in derive(states[i], defs, memo, known):
             if t is None:  # a step into a new state, left out at the bound
                 truncated.add(i)
-                break
+                continue
             j = index.get(t.target)
             if j is None:
                 if len(states) >= bounds.max_states:

@@ -30,10 +30,10 @@ All functions are pure; transition sets come back deterministically ordered.
 
 Successive states of a build share most of their subterms as the same
 interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
-``interrupt_steps`` take an optional memo: a dict from non-trivial subterms
-(with the part of the budget they hold) to their derivations, which lets
-states derive a shared subterm once.  Derivation stays pure: ``lts.build``
-owns one memo for one call and drops it on return; none is global.
+``interrupt_steps`` take an optional memo: each relation stores what its
+non-trivial subterms derive (with the part of the budget they hold), never
+the state itself, so states derive a shared subterm once.  Derivation stays
+pure: ``lts.build`` owns one memo for one call and drops it on return.
 
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
@@ -46,8 +46,8 @@ components, and raise ``CapExceeded`` instead of sampling.
 A caller that keeps only transitions into targets it already knows passes
 them as ``known`` to the same four functions: the steps into other targets
 are then derived but never built as transitions, printed or sorted, and each
-is counted by a None after the ordered transitions kept.  ``lts.build`` does
-this once its state bound is reached.
+is counted by a None after the ordered transitions that relation kept.
+``lts.build`` does this once its state bound is reached.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -103,9 +103,10 @@ __all__ = [
 
 INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
-# Derivations of subterms shared by the states of one build, keyed by an
-# interned node for ``_h``, by ``(node, ids)`` for ``_interrupts`` and by
-# ``(ids, node)`` for ``_completions``; values are tuples.
+# Subterm derivations as tuples, keyed by the unfolded Sum or Par node (``_h``),
+# ``(node, allowed & node.ids)`` (``_interrupts``) or ``(outer & node.ids, node)``
+# (``_completions``; reversed, so never equal).  The public functions pass ``top``:
+# storing each state's own derivation too made builds about 9% slower.
 Memo = dict
 
 Known = Optional[Container[Term]]  # the only targets a caller keeps, or None for all
@@ -252,7 +253,7 @@ _IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
 
 
 def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
-       memo: Memo | None = None) -> Iterable[_HStep]:
+       memo: Memo | None = None, top: bool = False) -> Iterable[_HStep]:
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
         body = defs.get(config.name)
         if body is None:
@@ -268,13 +269,16 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
         return ((1, config.action, started(config.action, 1, config.cont)),)
     if not isinstance(config, (Sum, Par)):
         return ()  # inert and running prefixes
+    # keyed by the node alone: a raising call stores nothing, and a node that
+    # derived once reaches no unguarded cycle, so no ``unfolding`` makes it raise
+    if memo is not None and (steps := memo.get(config)) is not None:
+        return steps
     node = type(config)
     left, right = config.left, config.right
     fresh = fresh_id(config.ids)  # the least identifier unused in the composite
     out: set[_HStep] = set()
-    derive = _h if memo is None else _shared_h
-    left_steps = derive(left, defs, unfolding, memo)
-    right_steps = derive(right, defs, unfolding, memo)
+    left_steps = _h(left, defs, unfolding, memo)
+    right_steps = _h(right, defs, unfolding, memo)
     for ident, action, target in left_steps:
         if ident not in right.ids:
             out.add((ident, action, node(target, right)))
@@ -296,22 +300,9 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
                 if raction == partner:
                     out.add((fresh, TAU, Par(rename_id(ltarget, lid, fresh),
                                              rename_id(rtarget, rid, fresh))))
+    if memo is not None and not top:
+        memo[config] = out = tuple(out)
     return out
-
-
-def _shared_h(config: Term, defs: Definitions, unfolding: frozenset[str],
-              memo: Memo) -> Iterable[_HStep]:
-    """``_h`` of a subterm through the memo, keyed by the node alone.
-
-    ``unfolding`` only decides whether ``UnguardedRecursion`` is raised.  A
-    raising call stores nothing, and a node that derived once reaches no
-    unguarded cycle, so it cannot raise under another unfolding set."""
-    if not isinstance(config, (Sum, Par, Const)):
-        return _h(config, defs, unfolding)  # a leaf: nothing worth storing
-    steps = memo.get(config)
-    if steps is None:
-        steps = memo[config] = tuple(_h(config, defs, unfolding, memo))
-    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +332,8 @@ def _check_cap(config: Term) -> None:
         stack += (config.right, config.left)  # the left one is checked first
 
 
-def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None) -> Iterable[_IStep]:
+def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
+                top: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed >= config.ids`` gives the
     whole relation."""
@@ -350,25 +342,14 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None)
     idle = _IDLE.get(type(config))
     if idle is not None:
         return ((config.ids, idle(config.action, config.cont)), (_EMPTY, config))
+    if memo is not None and (steps := memo.get(key := (config, allowed & config.ids))) is not None:
+        return steps
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
-    derive = _interrupts if memo is None else _shared_interrupts
-    return {
-        (lids | rids, node(ltarget, rtarget))
-        for (lids, ltarget), (rids, rtarget) in itertools.product(
-            derive(config.left, allowed, memo), derive(config.right, allowed, memo)
-        )
-    }
-
-
-def _shared_interrupts(config: Term, allowed: frozenset[int], memo: Memo) -> Iterable[_IStep]:
-    """``_interrupts`` of a subterm through the memo, keyed by the node and
-    the allowed identifiers it holds."""
-    if not isinstance(config, (Sum, Par)) or config.ids.isdisjoint(allowed):
-        return _interrupts(config, allowed)
-    key = (config, allowed & config.ids)
-    steps = memo.get(key)
-    if steps is None:
-        steps = memo[key] = tuple(_interrupts(config, allowed, memo))
+    steps = {(lids | rids, node(ltarget, rtarget))
+             for (lids, ltarget), (rids, rtarget) in itertools.product(
+                 _interrupts(config.left, allowed, memo), _interrupts(config.right, allowed, memo))}
+    if memo is not None and not top:
+        memo[key] = steps = tuple(steps)
     return steps
 
 
@@ -379,8 +360,8 @@ _CPStep = tuple[int, Action, frozenset[int], Term]
 _CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuation, target)
 
 
-def _completions(config: Term, outer: frozenset[int],
-                 memo: Memo | None = None) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
+def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
+                 top: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
 
@@ -399,9 +380,9 @@ def _completions(config: Term, outer: frozenset[int],
     if isinstance(config, FrozenConserve):
         rearmed = PrefixConserve(config.action, config.cont)
         return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
+    if memo is not None and (found := memo.get(key := (outer & config.ids, config))) is not None:
+        return found
     left, right = config.left, config.right
-    completions = _completions if memo is None else _shared_completions
-    interrupts = _interrupts if memo is None else _shared_interrupts
     cp: set[_CPStep] = set()
     cc: set[_CCStep] = set()
     if isinstance(config, Sum):
@@ -409,82 +390,69 @@ def _completions(config: Term, outer: frozenset[int],
         # running actions (so fits the budget only if they do), a
         # conservative one those it chose to interrupt
         for this, other, flip in ((left, right, False), (right, left, True)):
-            this_cp, this_cc = completions(this, outer, memo)
+            this_cp, this_cc = _completions(this, outer, memo)
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
                     cp.add((ident, action, demanded | other.ids, target))
-            choices = interrupts(other, other.ids & outer, memo) if this_cc else ()
+            choices = _interrupts(other, other.ids & outer, memo) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
                     cc.add((ident, action, demanded | interrupted, cont,
                             Sum(rest, target) if flip else Sum(target, rest)))
-        return cp, cc
-    cp_left, cc_left = completions(left, outer | right.ids, memo)
-    cp_right, cc_right = completions(right, outer | left.ids, memo)
-    for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
-                                          (cp_right, cc_right, left, True)):
-        # a completion on one side; the other side interrupts at least the
-        # demanded actions it hosts, and demands satisfied inside vanish
-        choices_for: dict[frozenset[int], Iterable[_IStep]] = {}
-        for ident, action, demanded, target in this_cp:
-            required = other.ids & demanded
-            allowed = other.ids & (demanded | outer)
-            choices = choices_for.get(allowed)
-            if choices is None:
-                choices = choices_for[allowed] = interrupts(other, allowed, memo)
-            for interrupted, rest in choices:
-                if interrupted >= required:
-                    cp.add((ident, action, (demanded | interrupted) - required,
-                            Par(rest, target) if flip else Par(target, rest)))
-        for ident, action, demanded, cont, target in this_cc:
-            if demanded <= outer:
-                cc.add((ident, action, demanded, cont,
-                        Par(other, target) if flip else Par(target, other)))
-    # coupled preemptive completions: shared demands cancel out
-    for lident, laction, ldem, ltarget in cp_left:
-        if laction.is_tau:
-            continue
-        partner = complement(laction)
-        for rident, raction, rdem, rtarget in cp_right:
-            visible = ldem ^ rdem
-            if rident == lident and raction == partner and visible <= outer:
-                cp.add((lident, TAU, visible, Par(ltarget, rtarget)))
-    # coupled conservative completions with nothing demanded: both
-    # continuations land in parallel at this level
-    for lident, laction, ldem, lcont, ltarget in cc_left:
-        if ldem:
-            continue
-        partner = complement(laction)
-        for rident, raction, rdem, rcont, rtarget in cc_right:
-            if rident == lident and raction == partner and not rdem:
-                cp.add((lident, TAU, _EMPTY,
-                        Par(Par(Par(ltarget, rtarget), lcont), rcont)))
-    # mixed coupling: the conservative side's demands must all be covered by
-    # the preemptive side's, and only the difference stays visible, within
-    # the budget
-    for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
-        for ident, action, cdem, cont, ctarget in this_cc:
-            partner = complement(action)
-            for pident, paction, pdem, ptarget in other_cp:
-                if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
-                    pair = Par(ptarget, ctarget) if flip else Par(ctarget, ptarget)
-                    cp.add((ident, TAU, pdem - cdem, Par(pair, cont)))
+    else:  # Par
+        cp_left, cc_left = _completions(left, outer | right.ids, memo)
+        cp_right, cc_right = _completions(right, outer | left.ids, memo)
+        for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
+                                              (cp_right, cc_right, left, True)):
+            # a completion on one side; the other side interrupts at least the
+            # demanded actions it hosts, and demands satisfied inside vanish
+            choices_for: dict[frozenset[int], Iterable[_IStep]] = {}
+            for ident, action, demanded, target in this_cp:
+                required = other.ids & demanded
+                allowed = other.ids & (demanded | outer)
+                choices = choices_for.get(allowed)
+                if choices is None:
+                    choices = choices_for[allowed] = _interrupts(other, allowed, memo)
+                for interrupted, rest in choices:
+                    if interrupted >= required:
+                        cp.add((ident, action, (demanded | interrupted) - required,
+                                Par(rest, target) if flip else Par(target, rest)))
+            for ident, action, demanded, cont, target in this_cc:
+                if demanded <= outer:
+                    cc.add((ident, action, demanded, cont,
+                            Par(other, target) if flip else Par(target, other)))
+        # coupled preemptive completions: shared demands cancel out
+        for lident, laction, ldem, ltarget in cp_left:
+            if laction.is_tau:
+                continue
+            partner = complement(laction)
+            for rident, raction, rdem, rtarget in cp_right:
+                visible = ldem ^ rdem
+                if rident == lident and raction == partner and visible <= outer:
+                    cp.add((lident, TAU, visible, Par(ltarget, rtarget)))
+        # coupled conservative completions with nothing demanded: both
+        # continuations land in parallel at this level
+        for lident, laction, ldem, lcont, ltarget in cc_left:
+            if ldem:
+                continue
+            partner = complement(laction)
+            for rident, raction, rdem, rcont, rtarget in cc_right:
+                if rident == lident and raction == partner and not rdem:
+                    cp.add((lident, TAU, _EMPTY,
+                            Par(Par(Par(ltarget, rtarget), lcont), rcont)))
+        # mixed coupling: the conservative side's demands must all be covered by
+        # the preemptive side's, and only the difference stays visible, within
+        # the budget
+        for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
+            for ident, action, cdem, cont, ctarget in this_cc:
+                partner = complement(action)
+                for pident, paction, pdem, ptarget in other_cp:
+                    if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
+                        pair = Par(ptarget, ctarget) if flip else Par(ctarget, ptarget)
+                        cp.add((ident, TAU, pdem - cdem, Par(pair, cont)))
+    if memo is not None and not top:
+        memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
-
-
-def _shared_completions(config: Term, outer: frozenset[int],
-                        memo: Memo) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
-    """``_completions`` of a subterm through the memo, keyed by the node and
-    the part of the budget it holds.  The key is ``(ids, node)``, the
-    reverse of an interrupt key, so the two never collide."""
-    if not config.ids or not isinstance(config, (Sum, Par)):
-        return _completions(config, outer)
-    key = (outer & config.ids, config)
-    found = memo.get(key)
-    if found is None:
-        cp, cc = _completions(config, outer, memo)
-        found = memo[key] = (tuple(cp), tuple(cc))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +462,7 @@ def _shared_completions(config: Term, outer: frozenset[int],
 def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple],
                         known: Known = None) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
-    # With ``known``, a step into any other target is not built and is
-    # counted by a trailing None
+    # With ``known``, a step into another target is counted by a trailing None
     kept = steps if known is None else [step for step in steps if step[-1] in known]
     transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in kept]
     return tuple(sorted(transitions, key=transition_sort_key)) + (None,) * (len(steps) - len(kept))
@@ -504,7 +471,8 @@ def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
                     memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    return _sorted_transitions(config, Handshake, _h(config, defs, frozenset(), memo), known)
+    steps = _h(config, defs, frozenset(), memo, top=True)
+    return _sorted_transitions(config, Handshake, steps, known)
 
 
 def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
@@ -512,7 +480,8 @@ def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    return _sorted_transitions(config, Interrupt, _interrupts(config, config.ids, memo), known)
+    steps = _interrupts(config, config.ids, memo, top=True)
+    return _sorted_transitions(config, Interrupt, steps, known)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -537,10 +506,9 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     concatenate in order."""
     starts = handshake_steps(config, defs, memo, known)
     interrupts = interrupt_steps(config, defs, memo, known)
-    cp, cc = _completions(config, config.ids, memo)
-    steps = (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp, known)
-             + _sorted_transitions(config, CompleteConservative, cc, known))
-    return steps if known is None else _left_out_last(steps)
+    cp, cc = _completions(config, config.ids, memo, top=True)
+    return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp, known)
+            + _sorted_transitions(config, CompleteConservative, cc, known))
 
 
 def is_system_step(t: Transition) -> bool:
@@ -557,16 +525,8 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
-    starts = [step for step in _h(config, defs, frozenset(), memo) if step[1].is_tau]
+    starts = [step for step in _h(config, defs, frozenset(), memo, top=True) if step[1].is_tau]
     _check_cap(config)
-    cp = [step for step in _completions(config, _EMPTY, memo)[0] if step[1].is_tau]
-    steps = (_sorted_transitions(config, Handshake, starts, known)
-             + _sorted_transitions(config, CompletePreemptive, cp, known))
-    return steps if known is None else _left_out_last(steps)
-
-
-def _left_out_last(steps: tuple[Transition | None, ...]) -> tuple[Transition | None, ...]:
-    # each relation's left-out steps trail its own transitions; move them all
-    # behind the last relation's
-    kept = tuple(t for t in steps if t is not None)
-    return kept + (None,) * (len(steps) - len(kept))
+    cp = [step for step in _completions(config, _EMPTY, memo, top=True)[0] if step[1].is_tau]
+    return (_sorted_transitions(config, Handshake, starts, known)
+            + _sorted_transitions(config, CompletePreemptive, cp, known))

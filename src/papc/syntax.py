@@ -141,7 +141,9 @@ class Action(_Interned):
         return super().__new__(cls, name, complemented)
 
     def _init(self, name: Optional[str], complemented: bool) -> None:
-        if name is None and complemented:
+        if name is not None:
+            _check_name(name)
+        elif complemented:
             raise ValueError("tau has no complemented form")
         self.name, self.complemented = name, complemented
 
@@ -154,6 +156,12 @@ class Action(_Interned):
 
 
 TAU = Action(None)
+
+
+def _check_name(name: str) -> None:
+    word = name.replace("_", "a")  # the lexer's name: a letter or '_', then alphanumerics or '_'
+    if name == "tau" or not (word[:1].isalpha() and word.isalnum()):
+        raise ValueError(f"{name!r} is not a name: it would not parse back as one")
 
 
 def complement(action: Action) -> Action:
@@ -251,6 +259,7 @@ class Const(Term):
     name: str
 
     def _init(self, name: str) -> None:
+        _check_name(name)
         self.name = name
         Term._init(self)
 

@@ -360,7 +360,8 @@ def test_transition_order_matches_an_independent_key(config):
 
 @given(strategies.configurations, st.data())
 def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
-    # the steps into other targets are each counted by a trailing None
+    # the steps into other targets are each counted by a None, which trails
+    # its own relation's transitions
     for derive in (handshake_steps, interrupt_steps, all_steps, system_steps):
         full = derive(config, DEFS)
         targets = sorted({t.target for t in full}, key=format_term)
@@ -368,7 +369,11 @@ def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
                               if targets else st.just([])))
         memo = {} if data.draw(st.booleans()) else None
         kept = [t for t in full if t.target in known]
-        assert derive(config, DEFS, memo, known) == (*kept, *[None] * (len(full) - len(kept)))
+        steps = derive(config, DEFS, memo, known)
+        assert [t for t in steps if t is not None] == kept
+        assert steps.count(None) == len(full) - len(kept)
+        if derive in (handshake_steps, interrupt_steps):
+            assert steps == (*kept, *[None] * (len(full) - len(kept)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +447,15 @@ def test_a_shared_memo_derives_what_each_state_derives_alone(mode):
         for derive in (system_steps, all_steps):
             assert derive(state, DEFS, memo) == derive(state, DEFS), format_term(state)
     assert memo
+
+
+def test_a_shared_memo_never_holds_the_state_itself():
+    # only the state's subterms are stored, never its own derivation
+    memo = {}
+    for derive in (all_steps, system_steps):
+        derive(S2, DEFS, memo)
+    assert memo
+    assert all(key is not S2 and not (isinstance(key, tuple) and S2 in key) for key in memo)
 
 
 def test_a_shared_memo_derives_what_generated_terms_derive_alone(monkeypatch):

@@ -78,6 +78,24 @@ def test_tau_carries_no_polarity():
         Action(None, True)
 
 
+@pytest.mark.parametrize("name", ["tau", "", "x y", "1x", "a.b", "~a", "a#1", " a", "²a"])
+def test_names_that_would_not_print_back_are_rejected(name):
+    for build in (Action, Const, lambda n: Action(n, True)):
+        with pytest.raises(ValueError):
+            build(name)
+
+
+@given(st.one_of(st.text(max_size=4), st.from_regex(r"\w+", fullmatch=True)))
+def test_accepted_names_print_and_parse_back(name):
+    try:
+        terms = (Const(name), PrefixConsume(Action(name), NIL),
+                 PrefixConserve(Action(name, True), NIL))
+    except ValueError:
+        return
+    for term in terms:
+        assert parse_process(format_term(term)) is term
+
+
 def test_actions_are_interned():
     a = Action("a")
     assert Action("a", False) is a and Action("a", True) is not a
