@@ -84,7 +84,9 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
     Once ``bounds.max_states`` states are known when a state's expansion
     starts, only its edges into known states can be kept: the derivation is
     given the state index as ``known``, so only those edges are built and
-    ordered, and the state is truncated if it had any other step.  A sorted
+    ordered, and the state is truncated if it had any other step.  The
+    targets of the other steps are not even built as terms: they are only
+    looked up among the live ones, as every known state is live.  A sorted
     list filtered to known targets equals the filter of the fully sorted
     list, so the edges are those a full sort would keep.
     """

@@ -45,9 +45,15 @@ components, and raise ``CapExceeded`` instead of sampling.
 
 A caller that keeps only transitions into targets it already knows passes
 them as ``known`` to the same four functions: the steps into other targets
-are then derived but never built as transitions, printed or sorted, and each
-is counted by a None after the ordered transitions that relation kept.
-``lts.build`` does this once its state bound is reached.
+are then derived but never built as terms or transitions, printed or sorted,
+and each is counted by a None after the ordered transitions that relation
+kept.  ``lts.build`` does this once its state bound is reached.  Such a
+derivation builds its targets with ``find`` and makes no node: a known
+state is alive and so are all its subterms, so a target that needs a node
+no one holds cannot be known, and it is carried as a stand-in instead.
+Renaming a stand-in looks its renamed form up again, which may be live and
+known.  The counts stay exact: steps are collected in sets, and a stand-in
+equals exactly the stand-ins of the same term, so equal steps still merge.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -59,6 +65,7 @@ from __future__ import annotations
 import itertools
 from typing import Collection, Container, Iterable, NamedTuple, Optional, Union
 
+from . import syntax
 from .errors import CapExceeded, IdentifierCollision, UnguardedRecursion
 from .syntax import (
     TAU,
@@ -73,7 +80,6 @@ from .syntax import (
     PrefixConsume,
     Sum,
     Term,
-    complement,
     format_action,
     format_term,
     subterms,
@@ -106,10 +112,18 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 # Subterm derivations as tuples, keyed by the unfolded Sum or Par node (``_h``),
 # ``(node, allowed & node.ids)`` (``_interrupts``) or ``(outer & node.ids, node)``
 # (``_completions``; reversed, so never equal).  The public functions pass ``top``:
-# storing each state's own derivation too made builds about 9% slower.
+# storing each state's own derivation too made builds about 9% slower.  The
+# derivations made for a ``known`` caller may hold stand-ins, so they sit apart
+# in a dict of their own under ``_FOUND``, which is started afresh once any
+# value has been made since it was started: a full caller never meets a
+# stand-in, and a known caller never meets one whose term has come alive.
 Memo = dict
 
-Known = Optional[Container[Term]]  # the only targets a caller keeps, or None for all
+# The only targets a caller keeps, or None for all.  Steps into other targets
+# are derived with ``find``: no node is made for them.
+Known = Optional[Container[Term]]
+
+_FOUND = object()
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +238,29 @@ def rename_id(config: Term, old: int, new: int) -> Term:
     return _rename(config, old, new)
 
 
-def _rename(config: Term, old: int, new: int) -> Term:
+def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Term | tuple:
+    if new == old:
+        return config
+    if type(config) is tuple:  # a stand-in from _h: a running prefix, a Sum or a Par
+        if config[0] in _IDLE:
+            node, action, ident, cont = config
+            return node.find(action, new, cont) if ident == old else config
+        node, left, right = config
+        return node.find(_rename(left, old, new, True), _rename(right, old, new, True))
     if old not in config.ids:
         return config
-    if isinstance(config, (FrozenConsume, FrozenConserve)):
-        return type(config)(config.action, new, config.cont)
+    node = type(config)
+    make = node.find if find else node
+    if node in _IDLE:
+        return make(config.action, new, config.cont)
     # Sum or Par, the only other id holders; direct, as every start renames
-    return type(config)(_rename(config.left, old, new), _rename(config.right, old, new))
+    return make(_rename(config.left, old, new, find), _rename(config.right, old, new, find))
+
+
+def _partner(action: Action) -> Action | tuple:
+    # the complement if it is live, else its stand-in, which equals no derived
+    # action; either way no action is made
+    return Action.find(action.name, not action.complemented)
 
 
 def fresh_id(used: Iterable[int]) -> int:
@@ -253,7 +283,7 @@ _IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
 
 
 def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
-       memo: Memo | None = None, top: bool = False) -> Iterable[_HStep]:
+       memo: Memo | None = None, top: bool = False, find: bool = False) -> Iterable[_HStep]:
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
         body = defs.get(config.name)
         if body is None:
@@ -266,7 +296,8 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
         config = body
     started = _STARTED.get(type(config))
     if started is not None:
-        return ((1, config.action, started(config.action, 1, config.cont)),)
+        make = started.find if find else started
+        return ((1, config.action, make(config.action, 1, config.cont)),)
     if not isinstance(config, (Sum, Par)):
         return ()  # inert and running prefixes
     # keyed by the node alone: a raising call stores nothing, and a node that
@@ -274,32 +305,33 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
     if memo is not None and (steps := memo.get(config)) is not None:
         return steps
     node = type(config)
+    make = node.find if find else node
     left, right = config.left, config.right
     fresh = fresh_id(config.ids)  # the least identifier unused in the composite
     out: set[_HStep] = set()
-    left_steps = _h(left, defs, unfolding, memo)
-    right_steps = _h(right, defs, unfolding, memo)
+    left_steps = _h(left, defs, unfolding, memo, find=find)
+    right_steps = _h(right, defs, unfolding, memo, find=find)
     for ident, action, target in left_steps:
         if ident not in right.ids:
-            out.add((ident, action, node(target, right)))
+            out.add((ident, action, make(target, right)))
         else:
-            out.add((fresh, action, node(rename_id(target, ident, fresh), right)))
+            out.add((fresh, action, make(_rename(target, ident, fresh, find), right)))
     for ident, action, target in right_steps:
         if ident not in left.ids:
-            out.add((ident, action, node(left, target)))
+            out.add((ident, action, make(left, target)))
         else:
-            out.add((fresh, action, node(left, rename_id(target, ident, fresh))))
+            out.add((fresh, action, make(left, _rename(target, ident, fresh, find))))
     if node is Par:
         # complementary starts couple into one tau start with a shared
         # identifier fresh for the whole composite
         for lid, laction, ltarget in left_steps:
             if laction.is_tau:
                 continue
-            partner = complement(laction)
+            partner = _partner(laction)
             for rid, raction, rtarget in right_steps:
                 if raction == partner:
-                    out.add((fresh, TAU, Par(rename_id(ltarget, lid, fresh),
-                                             rename_id(rtarget, rid, fresh))))
+                    out.add((fresh, TAU, make(_rename(ltarget, lid, fresh, find),
+                                              _rename(rtarget, rid, fresh, find))))
     if memo is not None and not top:
         memo[config] = out = tuple(out)
     return out
@@ -333,7 +365,7 @@ def _check_cap(config: Term) -> None:
 
 
 def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
-                top: bool = False) -> Iterable[_IStep]:
+                top: bool = False, find: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed >= config.ids`` gives the
     whole relation."""
@@ -341,13 +373,16 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
         return ((_EMPTY, config),)
     idle = _IDLE.get(type(config))
     if idle is not None:
-        return ((config.ids, idle(config.action, config.cont)), (_EMPTY, config))
+        make = idle.find if find else idle
+        return ((config.ids, make(config.action, config.cont)), (_EMPTY, config))
     if memo is not None and (steps := memo.get(key := (config, allowed & config.ids))) is not None:
         return steps
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
-    steps = {(lids | rids, node(ltarget, rtarget))
+    make = node.find if find else node
+    steps = {(lids | rids, make(ltarget, rtarget))
              for (lids, ltarget), (rids, rtarget) in itertools.product(
-                 _interrupts(config.left, allowed, memo), _interrupts(config.right, allowed, memo))}
+                 _interrupts(config.left, allowed, memo, find=find),
+                 _interrupts(config.right, allowed, memo, find=find))}
     if memo is not None and not top:
         memo[key] = steps = tuple(steps)
     return steps
@@ -361,7 +396,7 @@ _CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuati
 
 
 def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
-                 top: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
+                 top: bool = False, find: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
 
@@ -378,30 +413,32 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
     if isinstance(config, FrozenConsume):
         return ((config.ident, config.action, _EMPTY, config.cont),), ()
     if isinstance(config, FrozenConserve):
-        rearmed = PrefixConserve(config.action, config.cont)
+        rearmed = (PrefixConserve.find if find else PrefixConserve)(config.action, config.cont)
         return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
     if memo is not None and (found := memo.get(key := (outer & config.ids, config))) is not None:
         return found
+    node = type(config)
+    make = node.find if find else node
     left, right = config.left, config.right
     cp: set[_CPStep] = set()
     cc: set[_CCStep] = set()
-    if isinstance(config, Sum):
+    if node is Sum:
         # the losing summand disappears: a preemptive winner demands all its
         # running actions (so fits the budget only if they do), a
         # conservative one those it chose to interrupt
         for this, other, flip in ((left, right, False), (right, left, True)):
-            this_cp, this_cc = _completions(this, outer, memo)
+            this_cp, this_cc = _completions(this, outer, memo, find=find)
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
                     cp.add((ident, action, demanded | other.ids, target))
-            choices = _interrupts(other, other.ids & outer, memo) if this_cc else ()
+            choices = _interrupts(other, other.ids & outer, memo, find=find) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
                     cc.add((ident, action, demanded | interrupted, cont,
-                            Sum(rest, target) if flip else Sum(target, rest)))
+                            make(rest, target) if flip else make(target, rest)))
     else:  # Par
-        cp_left, cc_left = _completions(left, outer | right.ids, memo)
-        cp_right, cc_right = _completions(right, outer | left.ids, memo)
+        cp_left, cc_left = _completions(left, outer | right.ids, memo, find=find)
+        cp_right, cc_right = _completions(right, outer | left.ids, memo, find=find)
         for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
                                               (cp_right, cc_right, left, True)):
             # a completion on one side; the other side interrupts at least the
@@ -412,44 +449,44 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
                 allowed = other.ids & (demanded | outer)
                 choices = choices_for.get(allowed)
                 if choices is None:
-                    choices = choices_for[allowed] = _interrupts(other, allowed, memo)
+                    choices = choices_for[allowed] = _interrupts(other, allowed, memo, find=find)
                 for interrupted, rest in choices:
                     if interrupted >= required:
                         cp.add((ident, action, (demanded | interrupted) - required,
-                                Par(rest, target) if flip else Par(target, rest)))
+                                make(rest, target) if flip else make(target, rest)))
             for ident, action, demanded, cont, target in this_cc:
                 if demanded <= outer:
                     cc.add((ident, action, demanded, cont,
-                            Par(other, target) if flip else Par(target, other)))
+                            make(other, target) if flip else make(target, other)))
         # coupled preemptive completions: shared demands cancel out
         for lident, laction, ldem, ltarget in cp_left:
             if laction.is_tau:
                 continue
-            partner = complement(laction)
+            partner = _partner(laction)
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
                 if rident == lident and raction == partner and visible <= outer:
-                    cp.add((lident, TAU, visible, Par(ltarget, rtarget)))
+                    cp.add((lident, TAU, visible, make(ltarget, rtarget)))
         # coupled conservative completions with nothing demanded: both
         # continuations land in parallel at this level
         for lident, laction, ldem, lcont, ltarget in cc_left:
             if ldem:
                 continue
-            partner = complement(laction)
+            partner = _partner(laction)
             for rident, raction, rdem, rcont, rtarget in cc_right:
                 if rident == lident and raction == partner and not rdem:
                     cp.add((lident, TAU, _EMPTY,
-                            Par(Par(Par(ltarget, rtarget), lcont), rcont)))
+                            make(make(make(ltarget, rtarget), lcont), rcont)))
         # mixed coupling: the conservative side's demands must all be covered by
         # the preemptive side's, and only the difference stays visible, within
         # the budget
         for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
             for ident, action, cdem, cont, ctarget in this_cc:
-                partner = complement(action)
+                partner = _partner(action)
                 for pident, paction, pdem, ptarget in other_cp:
                     if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
-                        pair = Par(ptarget, ctarget) if flip else Par(ctarget, ptarget)
-                        cp.add((ident, TAU, pdem - cdem, Par(pair, cont)))
+                        pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
+                        cp.add((ident, TAU, pdem - cdem, make(pair, cont)))
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
@@ -457,6 +494,17 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
 
 # ---------------------------------------------------------------------------
 # public operations
+
+
+def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
+    # the part of the memo a derivation for ``known`` may share (see Memo)
+    if known is None or memo is None:
+        return memo
+    made, found = memo.get(_FOUND, (None, None))
+    if made != syntax._made:
+        found = {}
+        memo[_FOUND] = syntax._made, found
+    return found
 
 
 def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple],
@@ -471,7 +519,7 @@ def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
                     memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    steps = _h(config, defs, frozenset(), memo, top=True)
+    steps = _h(config, defs, frozenset(), _memo_for(memo, known), True, known is not None)
     return _sorted_transitions(config, Handshake, steps, known)
 
 
@@ -480,7 +528,7 @@ def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    steps = _interrupts(config, config.ids, memo, top=True)
+    steps = _interrupts(config, config.ids, _memo_for(memo, known), True, known is not None)
     return _sorted_transitions(config, Interrupt, steps, known)
 
 
@@ -506,7 +554,7 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     concatenate in order."""
     starts = handshake_steps(config, defs, memo, known)
     interrupts = interrupt_steps(config, defs, memo, known)
-    cp, cc = _completions(config, config.ids, memo, top=True)
+    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
     return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp, known)
             + _sorted_transitions(config, CompleteConservative, cc, known))
 
@@ -525,8 +573,10 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
     directly: completions run under an empty demand budget."""
     # starts before the cap check, as in all_steps, so the same error wins
-    starts = [step for step in _h(config, defs, frozenset(), memo, top=True) if step[1].is_tau]
+    find = known is not None
+    memo = _memo_for(memo, known)
+    starts = [step for step in _h(config, defs, frozenset(), memo, True, find) if step[1].is_tau]
     _check_cap(config)
-    cp = [step for step in _completions(config, _EMPTY, memo, top=True)[0] if step[1].is_tau]
+    cp = [step for step in _completions(config, _EMPTY, memo, True, find)[0] if step[1].is_tau]
     return (_sorted_transitions(config, Handshake, starts, known)
             + _sorted_transitions(config, CompletePreemptive, cp, known))

@@ -83,6 +83,11 @@ __all__ = [
 # value dies.  Values compare and hash by identity, which varies from run to
 # run, so no output order may depend on their hash: derived transitions are
 # sorted by a total key instead.
+#
+# ``find`` is the lookup half alone: where no value is live it returns the key
+# itself as a *stand-in*, which builds nothing.  A stand-in equals the
+# stand-ins of the same value and no live value; a subterm of a live term is
+# never one, and until a value is made no stand-in's value comes alive.
 
 
 class _Ref(weakref.ref):
@@ -90,6 +95,7 @@ class _Ref(weakref.ref):
 
 
 _TABLE: dict[tuple, _Ref] = {}
+_made = 0  # values built so far; while it stays put, no stand-in comes alive
 
 
 def _forget(ref: _Ref, table: dict = _TABLE) -> None:
@@ -108,8 +114,17 @@ class _Interned:
         return ref and ref() or cls._make(key, fields)
 
     @classmethod
+    def find(cls, *fields):
+        """The live value with these fields, else its stand-in ``(cls, *fields)``."""
+        key = (cls, *fields)
+        ref = _TABLE.get(key)
+        return ref and ref() or key
+
+    @classmethod
     def _make(cls, key: tuple, fields: tuple):
         """Build and check a value, then enter it under ``key``."""
+        global _made
+        _made += 1
         value = object.__new__(cls)
         value._init(*fields)
         ref = _Ref(value, _forget)
@@ -501,10 +516,15 @@ class Definitions:
     """Constant defining equations, mapping each name to a plain process body.
 
     Constants without a binding are allowed: they behave as inert processes
-    (useful for pure product species that never interact again).
+    (useful for pure product species that never interact again).  A binding
+    name must be one that a ``Const`` can reference.
     """
 
     bindings: Mapping[str, Term]
+
+    def __post_init__(self) -> None:
+        for name in self.bindings:
+            _check_name(name)
 
     def get(self, name: str) -> Optional[Term]:
         return self.bindings.get(name)

@@ -3,8 +3,8 @@
 import gc
 import hashlib
 import json
-
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gen import STANDARD_DEFS, random_process
 from papc import syntax
+from papc.cli import load_model
 from papc.lts import Bounds, build, export, stats
 from papc.parsing import parse_definitions, parse_process
 from papc.semantics import all_steps, label_text, system_steps
@@ -138,6 +139,31 @@ def test_all_mode_exports_match_the_golden_digests():
     lts = build(parse_process("C | A | B"), DEFS, Bounds(max_states=300))
     assert (len(lts.states), len(lts.edges), len(lts.truncated)) == (300, 2181, 197)
     for fmt, digest in GOLDEN_ALL_DIGESTS.items():
+        assert hashlib.sha256(export(lts, fmt)).hexdigest() == digest
+
+
+# sha256 of the exports of `papc lts models/cell_protein.papc --max-states 5000`,
+# and the states truncated: most states are expanded past the state bound
+CELL_MODEL = Path(__file__).resolve().parent.parent / "models" / "cell_protein.papc"
+CELL_MODEL_5000 = {
+    "all": (3799, {
+        "aut": "246cd22dfbbae3c34b9f746e11d1c2633b8c9c705e469e6ef8c2eb24ba4bfee3",
+        "json": "7cc54ccf2cc10fe9ff26244e8d02440af92028973bc5628c9ef27cb4dc0c55b3",
+    }),
+    "system": (4029, {
+        "aut": "538ab3ec3eea12f8fff2c8eb5b09b1c199661ab58930f2ba8ec6c8584e3e35f1",
+        "json": "73375155ecc2d6b47e6d7f1db8538a75b9210b7d271a9576ddccd8ca803d486a",
+    }),
+}
+
+
+@pytest.mark.parametrize("mode", ["all", "system"])
+def test_the_cell_model_past_its_state_bound_matches_the_golden_digests(mode):
+    model = load_model(str(CELL_MODEL))
+    lts = build(model.root, model.definitions, Bounds(max_states=5000, step_mode=mode))
+    truncated, digests = CELL_MODEL_5000[mode]
+    assert (len(lts.states), len(lts.truncated)) == (5000, truncated)
+    for fmt, digest in digests.items():
         assert hashlib.sha256(export(lts, fmt)).hexdigest() == digest
 
 

@@ -1,6 +1,7 @@
 """Transition derivation: auxiliary functions and the five relations."""
 
 import copy
+import gc
 import pickle
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import strategies
 from gen import random_configuration
-from papc import semantics
+from papc import semantics, syntax
 from papc.errors import CapExceeded, IdentifierCollision, PapcError, UnguardedRecursion
 from papc.lts import Bounds, build
 from papc.parsing import parse_definitions, parse_process
@@ -26,12 +27,13 @@ from papc.semantics import (
     fresh_id,
     handshake_steps,
     interrupt_steps,
+    label_text,
     preemptive_completions,
     rename_id,
     system_steps,
     transition_sort_key,
 )
-from papc.syntax import NIL, Action, Par, PrefixConsume, TAU, Term, format_term
+from papc.syntax import NIL, Action, FrozenConsume, Par, PrefixConsume, TAU, Term, format_term
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
 
@@ -376,6 +378,60 @@ def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
             assert steps == (*kept, *[None] * (len(full) - len(kept)))
 
 
+@given(strategies.configurations, st.data())
+def test_known_targets_reparsed_after_the_full_result_died_keep_its_transitions(config, data):
+    # with the full results kept only as text, the targets outside ``known``
+    # are dead, so the known calls meet them as stand-ins
+    derivations = (handshake_steps, interrupt_steps, all_steps, system_steps)
+    full = [derive(config, DEFS) for derive in derivations]
+    full_texts = [[(label_text(t.label), format_term(t.target)) for t in steps] for steps in full]
+    del full
+    gc.collect()
+    for derive, texts in zip(derivations, full_texts):
+        targets = sorted({target for _, target in texts})
+        known_texts = set(data.draw(st.lists(st.sampled_from(targets), unique=True)
+                                    if targets else st.just([])))
+        known = {parse_process(text) for text in known_texts}
+        memo = {} if data.draw(st.booleans()) else None
+        steps = derive(config, DEFS, memo, known)
+        kept = [(label_text(t.label), format_term(t.target)) for t in steps if t is not None]
+        assert kept == [step for step in texts if step[1] in known_texts]
+        assert steps.count(None) == len(texts) - len(kept)
+
+
+def test_a_start_renamed_on_its_way_up_reaches_a_known_target_through_a_dead_node():
+    # the start of sa first builds [sa#1].0 | sb.0, which nothing holds; its
+    # renamed target ([sa#2].0 | sb.0) | [sc#1].0 is known all the same
+    config = parse_process("(sa.0 | sb.0) | [sc#1].0")
+    known = {parse_process("([sa#2].0 | sb.0) | [sc#1].0")}
+    gc.collect()
+    assert type(FrozenConsume.find(Action("sa"), 1, NIL)) is tuple
+    steps = handshake_steps(config, DEFS, None, known)
+    assert [str(t) for t in steps if t is not None] == ["H 2 sa+ -> ([sa#2].0 | sb.0) | [sc#1].0"]
+    assert steps.count(None) == 1  # the start of sb
+
+
+def _term_keys():
+    return {key for key in syntax._TABLE if issubclass(key[0], Term)}
+
+
+def test_a_known_call_makes_no_term():
+    # reachable states, and generated ones whose rolled-back prefixes and
+    # re-armed conserves are not subterms of any definition
+    rng = random.Random(14)
+    configs = [*build(S, DEFS, Bounds(max_states=60)).states,
+               *(random_configuration(rng, depth=5, max_frozen=4) for _ in range(100))]
+    known = set(configs)
+    memo = {}
+    gc.collect()
+    before, made = _term_keys(), syntax._made
+    for config in configs:
+        for derive in (handshake_steps, interrupt_steps, all_steps, system_steps):
+            derive(config, DEFS, memo, known)
+    assert syntax._made == made
+    assert not _term_keys() - before
+
+
 # ---------------------------------------------------------------------------
 # invariant properties
 
@@ -456,6 +512,17 @@ def test_a_shared_memo_never_holds_the_state_itself():
         derive(S2, DEFS, memo)
     assert memo
     assert all(key is not S2 and not (isinstance(key, tuple) and S2 in key) for key in memo)
+
+
+@given(strategies.configurations)
+def test_a_memo_shared_with_known_calls_derives_what_each_call_derives_alone(config):
+    for derive in (all_steps, system_steps):
+        memo = {}
+        derive(config, DEFS, memo, {config})  # its other targets are dead: stand-ins
+        full = derive(config, DEFS, memo)
+        assert full == derive(config, DEFS)
+        # every target is live now, so none of them may be met as a stand-in
+        assert derive(config, DEFS, memo, {t.target for t in full}) == full
 
 
 def test_a_shared_memo_derives_what_generated_terms_derive_alone(monkeypatch):

@@ -29,6 +29,7 @@ from papc.parsing import parse_context, parse_definitions, parse_model, parse_pr
 from papc.syntax import (
     Action,
     Const,
+    Definitions,
     FrozenConserve,
     FrozenConsume,
     HOLE,
@@ -481,6 +482,13 @@ def test_duplicate_definition_rejected():
 def test_definition_bodies_must_be_plain():
     with pytest.raises(ParseError):
         parse_definitions("X := [a#1].0;")
+
+
+@pytest.mark.parametrize("name", ["x y", "tau"])
+def test_definitions_refuse_a_name_no_constant_can_reference(name):
+    # such a binding could never be unfolded, yet validate found nothing wrong
+    with pytest.raises(ValueError, match="is not a name"):
+        Definitions({name: NIL})
 
 
 def test_validate_reports_unbound_as_warning():
