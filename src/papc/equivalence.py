@@ -297,8 +297,12 @@ def verify_witness(
 
     Every claimed move must exist among its source's transitions, every
     recorded response must match the move's label, and the final move must
-    have no matching response at all.
+    have no matching response at all.  Malformed evidence is rejected too.
     """
+    if not all(step.attacker in ("left", "right") and isinstance(step.move, Transition)
+               and (step.response is None or isinstance(step.response, Transition))
+               and step.follow in (None, "target", "continuation") for step in witness):
+        return False
     current = {"left": left, "right": right}
     for i, step in enumerate(witness):
         attacker = current[step.attacker]

@@ -112,18 +112,18 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 # Subterm derivations as tuples, keyed by the unfolded Sum or Par node (``_h``),
 # ``(node, allowed & node.ids)`` (``_interrupts``) or ``(outer & node.ids, node)``
 # (``_completions``; reversed, so never equal).  The public functions pass ``top``:
-# storing each state's own derivation too made builds about 9% slower.  The
-# derivations made for a ``known`` caller may hold stand-ins, so they sit apart
-# in a dict of their own under ``_FOUND``, which is started afresh once any
-# value has been made since it was started: a full caller never meets a
-# stand-in, and a known caller never meets one whose term has come alive.
+# storing each state's own derivation too made builds about 9% slower.  Full and
+# ``known`` calls share every entry: a full entry holds only live nodes, which
+# the memo keeps alive, and a stand-in stored by a known call can only go stale
+# once a value is made.  So a full call empties a memo last used by a known
+# call, and so does a known call once a value has been made since the last one.
 Memo = dict
 
 # The only targets a caller keeps, or None for all.  Steps into other targets
 # are derived with ``find``: no node is made for them.
 Known = Optional[Container[Term]]
 
-_FOUND = object()
+_KNOWN = object()  # the memo key of ``syntax._made`` as of its last known call
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +257,6 @@ def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Ter
     return make(_rename(config.left, old, new, find), _rename(config.right, old, new, find))
 
 
-def _partner(action: Action) -> Action | tuple:
-    # the complement if it is live, else its stand-in, which equals no derived
-    # action; either way no action is made
-    return Action.find(action.name, not action.complemented)
-
-
 def fresh_id(used: Iterable[int]) -> int:
     """The least positive identifier not in ``used``."""
     taken = used if isinstance(used, (set, frozenset)) else set(used)
@@ -311,23 +305,20 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
     out: set[_HStep] = set()
     left_steps = _h(left, defs, unfolding, memo, find=find)
     right_steps = _h(right, defs, unfolding, memo, find=find)
-    for ident, action, target in left_steps:
-        if ident not in right.ids:
-            out.add((ident, action, make(target, right)))
-        else:
-            out.add((fresh, action, make(_rename(target, ident, fresh, find), right)))
-    for ident, action, target in right_steps:
-        if ident not in left.ids:
-            out.add((ident, action, make(left, target)))
-        else:
-            out.add((fresh, action, make(left, _rename(target, ident, fresh, find))))
+    for steps, other, flip in ((left_steps, right, False), (right_steps, left, True)):
+        for ident, action, target in steps:
+            if ident in other.ids:
+                ident, target = fresh, _rename(target, ident, fresh, find)
+            out.add((ident, action, make(other, target) if flip else make(target, other)))
     if node is Par:
         # complementary starts couple into one tau start with a shared
         # identifier fresh for the whole composite
         for lid, laction, ltarget in left_steps:
             if laction.is_tau:
                 continue
-            partner = _partner(laction)
+            # the complement if it is live, else its stand-in, which equals no
+            # derived action; either way no action is made
+            partner = Action.find(laction.name, not laction.complemented)
             for rid, raction, rtarget in right_steps:
                 if raction == partner:
                     out.add((fresh, TAU, make(_rename(ltarget, lid, fresh, find),
@@ -462,7 +453,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
         for lident, laction, ldem, ltarget in cp_left:
             if laction.is_tau:
                 continue
-            partner = _partner(laction)
+            partner = Action.find(laction.name, not laction.complemented)
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
                 if rident == lident and raction == partner and visible <= outer:
@@ -472,7 +463,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
         for lident, laction, ldem, lcont, ltarget in cc_left:
             if ldem:
                 continue
-            partner = _partner(laction)
+            partner = Action.find(laction.name, not laction.complemented)
             for rident, raction, rdem, rcont, rtarget in cc_right:
                 if rident == lident and raction == partner and not rdem:
                     cp.add((lident, TAU, _EMPTY,
@@ -482,7 +473,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
         # the budget
         for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
             for ident, action, cdem, cont, ctarget in this_cc:
-                partner = _partner(action)
+                partner = Action.find(action.name, not action.complemented)
                 for pident, paction, pdem, ptarget in other_cp:
                     if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
@@ -497,14 +488,14 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
 
 
 def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
-    # the part of the memo a derivation for ``known`` may share (see Memo)
-    if known is None or memo is None:
-        return memo
-    made, found = memo.get(_FOUND, (None, None))
-    if made != syntax._made:
-        found = {}
-        memo[_FOUND] = syntax._made, found
-    return found
+    # the memo, emptied first where it may hold a stale stand-in (see Memo)
+    if memo is not None:
+        made = memo.get(_KNOWN)
+        if made is not None and (known is None or made != syntax._made):
+            memo.clear()
+        if known is not None:
+            memo[_KNOWN] = syntax._made
+    return memo
 
 
 def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple],

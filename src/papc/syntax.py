@@ -14,7 +14,7 @@ Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes and actions are
 immutable and hash-consed by one constructor: equal values are one interned
 object, so they compare and hash by identity.  Each node also keeps its
-identifiers and its running-prefix and hole counts.  Printing goes by chains:
+identifiers and its running-prefix count.  Printing goes by chains:
 a right-nested run of one binary operator (``a | b | c``), or a run of
 prefixes (``a.b:c.0``), prints in one pass, and only the chain's head keeps
 the text, so a printed chain holds text in proportion to its length, not to
@@ -214,18 +214,18 @@ class Term(_Interned):
     ``is`` and ``hash`` is the identity hash.  Next to its fields each node
     carries, fixed at construction, ``ids`` (the identifiers of its running
     prefixes, so that the semantics can test for identifier collisions in
-    O(1)), ``n_frozen`` (its running prefixes, repeated identifiers counted)
-    and ``n_holes`` (its context holes).  A node that ``format_term``
+    O(1)) and ``n_frozen`` (its running prefixes, repeated identifiers
+    counted); holes are counted by walking.  A node that ``format_term``
     printed as the head of a chain keeps the chain's text; the nodes inside
     the chain keep none.  ``children`` and ``rebuild`` give generic
     traversals a node's shape: ``t.rebuild(t.children()) is t``.
     """
 
-    __slots__ = ("ids", "n_frozen", "n_holes", "_text")
+    __slots__ = ("ids", "n_frozen", "_text")
     _prec = _PREC_ATOM
 
     def _init(self) -> None:  # the leaves
-        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, 0, None
+        self.ids, self.n_frozen, self._text = _NO_IDS, 0, None
 
     def children(self) -> tuple[Term, ...]:
         return ()
@@ -255,9 +255,6 @@ class Hole(Term):
     """The single hole of a context; never part of a configuration."""
 
     __slots__ = ()
-
-    def _init(self) -> None:
-        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, 1, None
 
     def _show(self) -> str:
         return "[]"
@@ -302,7 +299,7 @@ class _Prefix(Term):
                 f"but {format_term(cont)} contains running prefixes"
             )
         self.action, self.cont = action, cont
-        self.ids, self.n_frozen, self.n_holes, self._text = _NO_IDS, 0, cont.n_holes, None
+        self.ids, self.n_frozen, self._text = _NO_IDS, 0, None
 
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
@@ -396,7 +393,6 @@ class _Binary(Term):
         lids, rids = left.ids, right.ids
         self.ids = lids | rids if lids and rids else lids or rids
         self.n_frozen = left.n_frozen + right.n_frozen
-        self.n_holes = left.n_holes + right.n_holes
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
@@ -460,15 +456,16 @@ def subterms(term: Term, descend: Optional[Callable[[Term], bool]] = None) -> It
 def check_context(term: Term) -> None:
     """Raise ParseError unless the term is a context: exactly one hole and
     no running prefixes."""
-    if term.n_holes != 1:
-        raise ParseError(f"a context needs exactly one hole, found {term.n_holes}")
+    holes = sum(isinstance(t, Hole) for t in subterms(term))
+    if holes != 1:
+        raise ParseError(f"a context needs exactly one hole, found {holes}")
     if term.ids:
         raise ParseError("contexts are process-shaped; no running prefixes allowed")
 
 
 def is_process(term: Term) -> bool:
     """True when the term has no running prefixes (and no hole)."""
-    return not term.ids and not term.n_holes
+    return not term.ids and not any(isinstance(t, Hole) for t in subterms(term))
 
 
 def constants_of(term: Term) -> Iterator[str]:

@@ -1,6 +1,7 @@
 """Bisimilarity checking, witnesses, contexts and the congruence probe."""
 
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from papc.equivalence import (
     BISIMILAR,
     NOT_BISIMILAR,
     UNKNOWN,
+    WitnessStep,
     apply_context,
     bisimilar,
     congruence_probe,
@@ -29,8 +31,8 @@ from papc.semantics import (
     all_steps,
     label_text,
 )
-from papc.syntax import (HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Par, Sum,
-                         format_term)
+from papc.syntax import (HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Hole, Par, Sum,
+                         format_term, subterms)
 
 REPLICATOR_DEFS = parse_definitions("C1 := a.(C1 | C1); C2 := a:C2;")
 SMALL = Bounds(max_states=60, max_depth=6)
@@ -83,6 +85,21 @@ def test_witness_follows_a_continuation(bounds):
     ]
     assert verdict.witness[-1].response is None
     assert verify_witness(p, q, verdict.witness, EMPTY_DEFINITIONS)
+
+
+def test_verify_witness_rejects_malformed_steps():
+    p, q = parse_process("a:b.0"), parse_process("a:c.0")
+    witness = bisimilar(p, q, EMPTY_DEFINITIONS, Bounds()).witness
+    first, rest = witness[0], witness[1:]
+    assert verify_witness(p, q, witness)
+    # an unknown side, a missing move, an unknown follow and a response that
+    # only equals a transition as a plain tuple
+    assert not verify_witness(p, q, (WitnessStep("up", first.move, None, None),))
+    for bad in (dataclasses.replace(first, attacker="up"),
+                dataclasses.replace(first, move=None),
+                dataclasses.replace(first, follow="targets"),
+                dataclasses.replace(first, response=tuple(first.response))):
+        assert verify_witness(p, q, (bad, *rest)) is False
 
 
 def test_identical_configurations_are_bisimilar():
@@ -291,7 +308,7 @@ def test_apply_context_rejects_what_parse_context_rejects():
     running = FrozenConsume(Action("a"), 1, NIL)
     filler = parse_process("b.0")
     for ctx in (FrozenConsume(Action("a"), 1, HOLE), Par(running, HOLE)):
-        assert ctx.n_holes == 1
+        assert sum(isinstance(t, Hole) for t in subterms(ctx)) == 1
         with pytest.raises(ParseError):
             parse_context(format_term(ctx))
         with pytest.raises(ParseError):
@@ -302,7 +319,7 @@ def test_random_contexts_have_one_hole():
     rng = random.Random(5)
     for _ in range(200):
         ctx = random_context(rng, ["a", "b"])
-        assert ctx.n_holes == 1
+        assert sum(isinstance(t, Hole) for t in subterms(ctx)) == 1
 
 
 # ---------------------------------------------------------------------------

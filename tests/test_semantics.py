@@ -1,5 +1,6 @@
 """Transition derivation: auxiliary functions and the five relations."""
 
+import collections
 import copy
 import gc
 import pickle
@@ -523,6 +524,53 @@ def test_a_memo_shared_with_known_calls_derives_what_each_call_derives_alone(con
         assert full == derive(config, DEFS)
         # every target is live now, so none of them may be met as a stand-in
         assert derive(config, DEFS, memo, {t.target for t in full}) == full
+
+
+def test_a_known_call_derives_no_subterm_a_full_call_stored(monkeypatch):
+    # as in a build past its state bound: full calls on the first states warm
+    # the memo, then known calls on later states read what they stored
+    states = build(S, DEFS, Bounds(max_states=60)).states
+    known = set(states)
+    warm = {}
+    for state in states[:30]:
+        all_steps(state, DEFS, warm)
+        system_steps(state, DEFS, warm)
+    calls = collections.Counter()
+    for name in ("_h", "_interrupts", "_completions"):
+        def counted(*args, derive=getattr(semantics, name), name=name, **kwargs):
+            calls[name] += 1
+            return derive(*args, **kwargs)
+        monkeypatch.setattr(semantics, name, counted)
+
+    def calls_made(derive, *args):
+        calls.clear()
+        return derive(*args), dict(calls)
+
+    saved = 0
+    for state in states[30:]:
+        for derive in (all_steps, system_steps):
+            alone = derive(state, DEFS, None, known)
+            _, full_calls = calls_made(derive, state, DEFS, dict(warm))
+            steps, known_calls = calls_made(derive, state, DEFS, dict(warm), known)
+            assert steps == alone, format_term(state)
+            assert known_calls == full_calls, format_term(state)
+            saved += known_calls != calls_made(derive, state, DEFS, {}, known)[1]
+    assert saved  # the warm memo spared some of those calls
+
+
+def test_a_known_call_meets_no_stand_in_whose_term_was_made_since():
+    # the first call stores the starts of xa.0 | xb.0 with dead targets, as
+    # stand-ins; parsing then makes one of them, which the second call keeps
+    config = parse_process("(xa.0 | xb.0) | xc.0")
+    target = "([xa#1].0 | xb.0) | xc.0"
+    gc.collect()
+    memo = {}
+    handshake_steps(config, DEFS, memo, {config})
+    assert all(type(step[-1]) is tuple for step in memo[config.left])
+    known = {parse_process(target)}
+    steps = handshake_steps(config, DEFS, memo, known)
+    assert steps == handshake_steps(config, DEFS, {}, known)
+    assert [format_term(t.target) for t in steps if t is not None] == [target]
 
 
 def test_a_shared_memo_derives_what_generated_terms_derive_alone(monkeypatch):

@@ -43,6 +43,7 @@ from papc.syntax import (
     TAU,
     Term,
     action_names_of,
+    check_context,
     complement,
     constants_of,
     format_term,
@@ -384,8 +385,23 @@ def test_cached_counts_agree_with_the_walk(config):
         nodes = list(subterms(term))
         assert term.n_frozen == sum(isinstance(t, (FrozenConsume, FrozenConserve))
                                     for t in nodes)
-        assert term.n_holes == sum(isinstance(t, Hole) for t in nodes)
-        assert is_process(term) == (term.n_frozen == term.n_holes == 0)
+
+
+@given(terms, st.lists(st.tuples(st.sampled_from((Sum, Par)), st.booleans()), max_size=2))
+def test_hole_checks_agree_with_the_walk(config, wraps):
+    term = config
+    for node, hole_first in wraps:  # each wrap adds one hole
+        term = node(HOLE, term) if hole_first else node(term, HOLE)
+    holes = sum(isinstance(t, Hole) for t in subterms(term))
+    running = any(isinstance(t, (FrozenConsume, FrozenConserve)) for t in subterms(term))
+    assert holes == len(wraps)
+    try:
+        check_context(term)
+        is_context = True
+    except ParseError:
+        is_context = False
+    assert is_context == (holes == 1 and not running)
+    assert is_process(term) == (holes == 0 and not running)
 
 
 @given(strategies.actions, strategies.idents, strategies.pure_terms, terms)
