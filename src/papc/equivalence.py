@@ -18,6 +18,10 @@ fits within ``max_states`` refinement runs to its fixpoint: the answer is
 exact.  Otherwise each depth ``d`` up to ``max_depth`` explores one level
 more and runs ``d`` rounds over what a ``d``-move game reaches; this answers
 ``not-bisimilar`` (with a witness) or ``unknown``, and never guesses.
+
+The explorer keeps each state's transitions in derivation order and never
+sorts them: refinement compares sets.  Only the witness reader orders
+transitions, those of the states its line visits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import IllFormedPlacement
 from .lts import Bounds
-from .semantics import CompleteConservative, Transition, all_steps, label_text
+from .semantics import (CompleteConservative, Transition, _union, all_steps, label_text,
+                        transition_sort_key)
 from .syntax import (
     Action,
     Definitions,
@@ -115,7 +120,20 @@ class _Explorer:
 
     ``level`` maps every known state, in discovery order, to its distance
     from the nearest root; ``steps`` holds the transitions of every expanded
-    state.  Each call resumes where the last stopped.
+    state in derivation order.  Each call resumes where the last stopped.
+
+    Derivation order is fixed by the terms alone, so discovery order is
+    too, but it is not the sorted order.  No verdict, detail or witness
+    depends on it:
+
+    * each level holds the same states in every order, and levels never
+      decrease along discovery order.  So the states a ``d``-move game
+      reaches, the size of a fully explored space and the result of
+      ``expand`` are the same in every order;
+    * ``_refine`` signs a state by a frozenset of items.  It numbers blocks
+      in discovery order, but only which states share a block is read, and
+      that partition is the same in every order, as is its block count;
+    * ``_distinguished`` sorts the transitions it reads.
     """
 
     def __init__(self, roots: Iterable[Term], defs: Definitions):
@@ -126,11 +144,12 @@ class _Explorer:
 
     def expand(self, max_level: float, limit: int) -> bool:
         """Derive the transitions of every state up to ``max_level``,
-        stopping once more than ``limit`` states are known; false if so."""
+        stopping once more than ``limit`` states are known; false if more
+        than ``limit`` states lie within one level past ``max_level``."""
         queue, level = self._queue, self.level
         while queue and level[queue[0]] <= max_level and len(level) <= limit:
             state = queue.popleft()
-            steps = all_steps(state, self.defs)
+            steps = _union(state, self.defs)
             self.steps[state] = steps
             below = level[state] + 1
             for t in steps:
@@ -138,7 +157,10 @@ class _Explorer:
                     if succ not in level:
                         level[succ] = below
                         queue.append(succ)
-        return len(level) <= limit
+        # count no state further out: an earlier call that stopped partway
+        # through a level found some, and which ones depends on the order
+        beyond = next(i for i, d in enumerate(reversed(level.values())) if d <= max_level + 1)
+        return len(level) - beyond <= limit
 
 
 def _after(t: Transition) -> tuple[Term, ...]:
@@ -220,17 +242,20 @@ def _distinguished(left: Term, right: Term, steps: dict, history: list) -> Verdi
     whose pairs split earlier, and the line follows the first of its pairs
     split in round ``k-1``.  The line therefore has exactly ``k`` steps, and
     "left" always descends from the original left configuration.
+    Moves and responses are tried in ``transition_sort_key`` order, so only
+    the two states of each step are sorted.
     """
     depth = k = next(r for r, blocks in enumerate(history) if blocks[left] != blocks[right])
     line: list[WitnessStep] = []
     while True:
         blocks = history[k - 1]
+        ordered = {s: sorted(steps[s], key=transition_sort_key) for s in (left, right)}
         for side, attacker, defender in (("left", left, right), ("right", right, left)):
             answers = {_item(t, blocks) for t in steps[defender]}
-            move = next((t for t in steps[attacker] if _item(t, blocks) not in answers), None)
+            move = next((t for t in ordered[attacker] if _item(t, blocks) not in answers), None)
             if move is not None:
                 break
-        responses = _matching_responses(move, steps[defender])
+        responses = _matching_responses(move, ordered[defender])
         if not responses:
             line.append(WitnessStep(side, move, None, None))
             return Verdict(NOT_BISIMILAR, witness=tuple(line),

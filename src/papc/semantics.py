@@ -27,6 +27,10 @@ The relations, and the transition label each one carries:
 Constants unfold through every relation except ``I``, where plain processes
 (constants and the inert term included) keep the empty self-loop untouched.
 All functions are pure; transition sets come back deterministically ordered.
+Steps are collected in insertion order, never in a set, so the order they
+are derived in is a function of the term alone: ``_union`` hands them out
+in that order to callers that need no order, such as the bisimulation
+explorer, and the public functions sort them.
 
 Successive states of a build share most of their subterms as the same
 interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
@@ -52,8 +56,10 @@ derivation builds its targets with ``find`` and makes no node: a known
 state is alive and so are all its subterms, so a target that needs a node
 no one holds cannot be known, and it is carried as a stand-in instead.
 Renaming a stand-in looks its renamed form up again, which may be live and
-known.  The counts stay exact: steps are collected in sets, and a stand-in
-equals exactly the stand-ins of the same term, so equal steps still merge.
+known.  The counts stay exact: equal steps merge as keys of insertion-ordered
+dicts (the interrupt fan-out never yields two equal steps, see
+``_interrupts``), and a stand-in equals exactly the stand-ins of the same
+term.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -109,9 +115,11 @@ __all__ = [
 
 INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
-# Subterm derivations as tuples, keyed by the unfolded Sum or Par node (``_h``),
-# ``(node, allowed & node.ids)`` (``_interrupts``) or ``(outer & node.ids, node)``
-# (``_completions``; reversed, so never equal).  The public functions pass ``top``:
+# Subterm derivations as tuples in derivation order, keyed by the unfolded Sum
+# or Par node (``_h``), ``(node, allowed & node.ids)`` (``_interrupts``) or
+# ``(outer & node.ids, node)`` (``_completions``; reversed, so never equal).
+# An entry keeps the order its steps were first derived in, so a memo never
+# changes derivation order.  The public functions pass ``top``:
 # storing each state's own derivation too made builds about 9% slower.  Full and
 # ``known`` calls share every entry: a full entry holds only live nodes, which
 # the memo keeps alive, and a stand-in stored by a known call can only go stale
@@ -302,14 +310,14 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
     make = node.find if find else node
     left, right = config.left, config.right
     fresh = fresh_id(config.ids)  # the least identifier unused in the composite
-    out: set[_HStep] = set()
+    out: dict[_HStep, None] = {}  # insertion-ordered, merging equal steps
     left_steps = _h(left, defs, unfolding, memo, find=find)
     right_steps = _h(right, defs, unfolding, memo, find=find)
     for steps, other, flip in ((left_steps, right, False), (right_steps, left, True)):
         for ident, action, target in steps:
             if ident in other.ids:
                 ident, target = fresh, _rename(target, ident, fresh, find)
-            out.add((ident, action, make(other, target) if flip else make(target, other)))
+            out[ident, action, make(other, target) if flip else make(target, other)] = None
     if node is Par:
         # complementary starts couple into one tau start with a shared
         # identifier fresh for the whole composite
@@ -321,8 +329,8 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
             partner = Action.find(laction.name, not laction.complemented)
             for rid, raction, rtarget in right_steps:
                 if raction == partner:
-                    out.add((fresh, TAU, make(_rename(ltarget, lid, fresh, find),
-                                              _rename(rtarget, rid, fresh, find))))
+                    out[fresh, TAU, make(_rename(ltarget, lid, fresh, find),
+                                         _rename(rtarget, rid, fresh, find))] = None
     if memo is not None and not top:
         memo[config] = out = tuple(out)
     return out
@@ -370,10 +378,14 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
         return steps
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
     make = node.find if find else node
-    steps = {(lids | rids, make(ltarget, rtarget))
+    # a list: no two steps are equal.  Each choice rolls back its own subset
+    # of the allowed prefixes, so one side's targets all differ, and ``make``
+    # is injective (nodes are interned by their children, and a stand-in, the
+    # tuple of class and children, equals no node), so these differ too.
+    steps = [(lids | rids, make(ltarget, rtarget))
              for (lids, ltarget), (rids, rtarget) in itertools.product(
                  _interrupts(config.left, allowed, memo, find=find),
-                 _interrupts(config.right, allowed, memo, find=find))}
+                 _interrupts(config.right, allowed, memo, find=find))]
     if memo is not None and not top:
         memo[key] = steps = tuple(steps)
     return steps
@@ -411,8 +423,8 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
     node = type(config)
     make = node.find if find else node
     left, right = config.left, config.right
-    cp: set[_CPStep] = set()
-    cc: set[_CCStep] = set()
+    cp: dict[_CPStep, None] = {}  # insertion-ordered, merging equal steps
+    cc: dict[_CCStep, None] = {}
     if node is Sum:
         # the losing summand disappears: a preemptive winner demands all its
         # running actions (so fits the budget only if they do), a
@@ -421,12 +433,12 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
             this_cp, this_cc = _completions(this, outer, memo, find=find)
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
-                    cp.add((ident, action, demanded | other.ids, target))
+                    cp[ident, action, demanded | other.ids, target] = None
             choices = _interrupts(other, other.ids & outer, memo, find=find) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
-                    cc.add((ident, action, demanded | interrupted, cont,
-                            make(rest, target) if flip else make(target, rest)))
+                    cc[ident, action, demanded | interrupted, cont,
+                       make(rest, target) if flip else make(target, rest)] = None
     else:  # Par
         cp_left, cc_left = _completions(left, outer | right.ids, memo, find=find)
         cp_right, cc_right = _completions(right, outer | left.ids, memo, find=find)
@@ -443,12 +455,12 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
                     choices = choices_for[allowed] = _interrupts(other, allowed, memo, find=find)
                 for interrupted, rest in choices:
                     if interrupted >= required:
-                        cp.add((ident, action, (demanded | interrupted) - required,
-                                make(rest, target) if flip else make(target, rest)))
+                        cp[ident, action, (demanded | interrupted) - required,
+                           make(rest, target) if flip else make(target, rest)] = None
             for ident, action, demanded, cont, target in this_cc:
                 if demanded <= outer:
-                    cc.add((ident, action, demanded, cont,
-                            make(other, target) if flip else make(target, other)))
+                    cc[ident, action, demanded, cont,
+                       make(other, target) if flip else make(target, other)] = None
         # coupled preemptive completions: shared demands cancel out
         for lident, laction, ldem, ltarget in cp_left:
             if laction.is_tau:
@@ -457,7 +469,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
                 if rident == lident and raction == partner and visible <= outer:
-                    cp.add((lident, TAU, visible, make(ltarget, rtarget)))
+                    cp[lident, TAU, visible, make(ltarget, rtarget)] = None
         # coupled conservative completions with nothing demanded: both
         # continuations land in parallel at this level
         for lident, laction, ldem, lcont, ltarget in cc_left:
@@ -466,8 +478,8 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
             partner = Action.find(laction.name, not laction.complemented)
             for rident, raction, rdem, rcont, rtarget in cc_right:
                 if rident == lident and raction == partner and not rdem:
-                    cp.add((lident, TAU, _EMPTY,
-                            make(make(make(ltarget, rtarget), lcont), rcont)))
+                    cp[lident, TAU, _EMPTY,
+                       make(make(make(ltarget, rtarget), lcont), rcont)] = None
         # mixed coupling: the conservative side's demands must all be covered by
         # the preemptive side's, and only the difference stays visible, within
         # the budget
@@ -477,7 +489,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
                 for pident, paction, pdem, ptarget in other_cp:
                     if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
-                        cp.add((ident, TAU, pdem - cdem, make(pair, cont)))
+                        cp[ident, TAU, pdem - cdem, make(pair, cont)] = None
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
@@ -498,56 +510,69 @@ def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
     return memo
 
 
-def _sorted_transitions(source: Term, label_class: type, steps: Collection[tuple],
-                        known: Known = None) -> tuple[Transition | None, ...]:
+def _transitions(source: Term, label_class: type, steps: Collection[tuple],
+                 known: Known = None, sort: bool = True) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
     # With ``known``, a step into another target is counted by a trailing None
     kept = steps if known is None else [step for step in steps if step[-1] in known]
     transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in kept]
-    return tuple(sorted(transitions, key=transition_sort_key)) + (None,) * (len(steps) - len(kept))
+    if sort:
+        transitions.sort(key=transition_sort_key)
+    return tuple(transitions) + (None,) * (len(steps) - len(kept))
 
 
-def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-                    memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
+def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
+                    known: Known = None, *, _sort: bool = True) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
     steps = _h(config, defs, frozenset(), _memo_for(memo, known), True, known is not None)
-    return _sorted_transitions(config, Handshake, steps, known)
+    return _transitions(config, Handshake, steps, known, _sort)
 
 
-def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
-                    memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
+def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
+                    known: Known = None, *, _sort: bool = True) -> tuple[Transition | None, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
     steps = _interrupts(config, config.ids, _memo_for(memo, known), True, known is not None)
-    return _sorted_transitions(config, Interrupt, steps, known)
+    return _transitions(config, Interrupt, steps, known, _sort)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every consuming completion, including coupled tau completions."""
     del defs  # completions fire on running prefixes only, never on constants
     _check_cap(config)
-    return _sorted_transitions(config, CompletePreemptive, _completions(config, config.ids)[0])
+    return _transitions(config, CompletePreemptive, _completions(config, config.ids)[0])
 
 
 def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every re-arming completion, the continuation riding in the label."""
     del defs
     _check_cap(config)
-    return _sorted_transitions(config, CompleteConservative, _completions(config, config.ids)[1])
+    return _transitions(config, CompleteConservative, _completions(config, config.ids)[1])
+
+
+def _union(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
+           known: Known = None, sort: bool = False) -> tuple[Transition | None, ...]:
+    """The union of the four relations, H, I, CP and CC in turn, each in
+    derivation order, or with ``sort`` in ``transition_sort_key`` order.
+
+    Derivation order is a function of the term alone: steps are collected in
+    insertion order, never in a set.  H and I go through their public
+    functions, so a tracer that wraps those names sees every derivation."""
+    starts = handshake_steps(config, defs, memo, known, _sort=sort)
+    interrupts = interrupt_steps(config, defs, memo, known, _sort=sort)
+    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
+    return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known, sort)
+            + _transitions(config, CompleteConservative, cc, known, sort))
 
 
 def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
               memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
     """The union of the four relations, deterministically ordered.
 
-    The relation comes first in the sort key, so the four sorted tuples
+    The relation comes first in the sort key, so the four sorted relations
     concatenate in order."""
-    starts = handshake_steps(config, defs, memo, known)
-    interrupts = interrupt_steps(config, defs, memo, known)
-    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
-    return (starts + interrupts + _sorted_transitions(config, CompletePreemptive, cp, known)
-            + _sorted_transitions(config, CompleteConservative, cc, known))
+    return _union(config, defs, memo, known, sort=True)
 
 
 def is_system_step(t: Transition) -> bool:
@@ -569,5 +594,5 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     starts = [step for step in _h(config, defs, frozenset(), memo, True, find) if step[1].is_tau]
     _check_cap(config)
     cp = [step for step in _completions(config, _EMPTY, memo, True, find)[0] if step[1].is_tau]
-    return (_sorted_transitions(config, Handshake, starts, known)
-            + _sorted_transitions(config, CompletePreemptive, cp, known))
+    return (_transitions(config, Handshake, starts, known)
+            + _transitions(config, CompletePreemptive, cp, known))

@@ -81,8 +81,9 @@ __all__ = [
 # a new value otherwise.  The table is keyed by the class and the fields, and
 # holds its values through weak references that drop their entry when the
 # value dies.  Values compare and hash by identity, which varies from run to
-# run, so no output order may depend on their hash: derived transitions are
-# sorted by a total key instead.
+# run, so no output order may depend on their hash: derived steps are
+# collected in insertion order, never in a set, and sorted by a total key
+# wherever an order is shown.
 #
 # ``find`` is the lookup half alone: where no value is live it returns the key
 # itself as a *stand-in*, which builds nothing.  A stand-in equals the

@@ -2,7 +2,12 @@
 
 import collections
 import dataclasses
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
@@ -15,6 +20,7 @@ from papc.equivalence import (
     NOT_BISIMILAR,
     UNKNOWN,
     WitnessStep,
+    _Explorer,
     apply_context,
     bisimilar,
     congruence_probe,
@@ -112,6 +118,64 @@ def test_bound_exhaustion_yields_unknown():
     q = parse_process("C2")
     verdict = bisimilar(p, q, REPLICATOR_DEFS, Bounds(max_states=5, max_depth=1))
     assert verdict.outcome == UNKNOWN
+
+
+# Runs bisimilar in a fresh interpreter and prints the verdict, the detail,
+# the witness and the explorer's discovery order.  Terms hash by address,
+# which changes from process to process, so any set order that reaches the
+# derivation shows up as a difference between two runs.
+_DETERMINISM_SCRIPT = """
+import papc.equivalence as eq
+from papc.lts import Bounds
+from papc.parsing import parse_definitions, parse_process
+from papc.syntax import format_term
+
+explorers = []
+
+class Recorded(eq._Explorer):
+    def __init__(self, roots, defs):
+        super().__init__(roots, defs)
+        explorers.append(self)
+
+eq._Explorer = Recorded
+for defs, left, right, max_states in (
+        # a four-move witness on the exact path
+        ("", "(a.0 | a.0) | ~a.0", "a.0 | (a.0 | ~a.0)", 400),
+        # the exact path stops partway through a level, then the game decides
+        ("C1 := a.(C1 | C1); C2 := a:C2;", "C1", "C2", 20)):
+    verdict = eq.bisimilar(parse_process(left), parse_process(right),
+                           parse_definitions(defs), Bounds(max_states=max_states))
+    print(verdict.outcome, verdict.detail)
+    for step in verdict.witness:
+        print(step.describe())
+    print(len(explorers[-1].level), *map(format_term, explorers[-1].level), sep="\\n")
+"""
+
+
+def test_verdicts_and_discovery_order_are_identical_across_processes():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+                           check=True, text=True).stdout
+            for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert lines[0] == "not-bisimilar distinguished at game depth 4"
+    assert "not-bisimilar distinguished at game depth 2" in lines
+
+
+def test_the_game_budget_counts_no_state_past_the_next_level():
+    # the exact attempt stops partway through a level, having found some
+    # states of the next one; which ones depends on derivation order, so the
+    # budget of a shallower game does not count them
+    explorer = _Explorer((parse_process("C1"), parse_process("C2")), REPLICATOR_DEFS)
+    assert not explorer.expand(math.inf, 20)
+    known = len(explorer.level)
+    within = sum(1 for d in explorer.level.values() if d <= 1)
+    assert within < known
+    assert explorer.expand(0, within)
+    assert not explorer.expand(0, within - 1)
+    assert len(explorer.level) == known
 
 
 def test_a_system_step_mode_is_refused():

@@ -456,6 +456,19 @@ def test_interrupt_labels_are_sound(config):
             assert t.target.ids == config.ids - t.label.idents
 
 
+@given(strategies.configurations, st.data())
+def test_interrupts_never_yield_a_duplicate_step(config, data):
+    # the fan-out is a list that merges nothing, so its steps must be distinct,
+    # for any allowed subset, in full and in known mode (whose targets are
+    # stand-ins where no term is live), with and without a shared memo
+    allowed = frozenset(data.draw(st.sets(st.sampled_from(sorted(config.ids) or [1]))))
+    memo = {}
+    for known in ((), None, ()):
+        for shared in (None, semantics._memo_for(memo, known)):
+            steps = list(semantics._interrupts(config, allowed, shared, True, known is not None))
+            assert len(set(steps)) == len(steps)
+
+
 @given(strategies.configurations)
 def test_handshake_identifiers_are_fresh(config):
     for t in handshake_steps(config, DEFS):
