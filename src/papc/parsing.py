@@ -20,8 +20,7 @@ Definitions files are sequences of ``Name := par ;`` with ``tau`` reserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DuplicateDefinition, IllFormedPlacement, ParseError, TauInPrefix
 from .syntax import (
@@ -49,8 +48,7 @@ _RESERVED = "tau"
 _PREFIX_NODES = {".": (PrefixConsume, FrozenConsume), ":": (PrefixConserve, FrozenConserve)}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

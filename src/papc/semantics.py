@@ -381,8 +381,9 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
     # a list: no two steps are equal.  Each choice rolls back its own subset
     # of the allowed prefixes, so one side's targets all differ, and ``make``
     # is injective (nodes are interned by their children, and a stand-in, the
-    # tuple of class and children, equals no node), so these differ too.
-    steps = [(lids | rids, make(ltarget, rtarget))
+    # tuple of class and children, equals no node), so these differ too.  The
+    # choice that rolls back nothing leaves ``config`` itself: no lookup.
+    steps = [(lids | rids, make(ltarget, rtarget)) if lids or rids else (_EMPTY, config)
              for (lids, ltarget), (rids, rtarget) in itertools.product(
                  _interrupts(config.left, allowed, memo, find=find),
                  _interrupts(config.right, allowed, memo, find=find))]
@@ -513,9 +514,13 @@ def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
 def _transitions(source: Term, label_class: type, steps: Collection[tuple],
                  known: Known = None, sort: bool = True) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
-    # With ``known``, a step into another target is counted by a trailing None
+    # With ``known``, a step into another target is counted by a trailing None.
+    # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
+    # label class or Transition overrides it: this builds the same values in C.
     kept = steps if known is None else [step for step in steps if step[-1] in known]
-    transitions = [Transition(source, label_class(*step[:-1]), step[-1]) for step in kept]
+    new = tuple.__new__
+    transitions = [new(Transition, (source, new(label_class, step[:-1]), step[-1]))
+                   for step in kept]
     if sort:
         transitions.sort(key=transition_sort_key)
     return tuple(transitions) + (None,) * (len(steps) - len(kept))

@@ -12,7 +12,7 @@ constructors enforce that.
 
 Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes and actions are
-immutable and hash-consed by one constructor: equal values are one interned
+immutable and hash-consed through one table: equal values are one interned
 object, so they compare and hash by identity.  Each node also keeps its
 identifiers and its running-prefix count.  Printing goes by chains:
 a right-nested run of one binary operator (``a | b | c``), or a run of
@@ -89,6 +89,10 @@ __all__ = [
 # itself as a *stand-in*, which builds nothing.  A stand-in equals the
 # stand-ins of the same value and no live value; a subterm of a live term is
 # never one, and until a value is made no stand-in's value comes alive.
+#
+# A constructor is ``__new__`` itself: lookup, ``_made`` count and entry in one
+# frame, and ``_init`` to check and set the fields.  ``Sum`` and ``Par``, most
+# of the nodes a derivation builds, set theirs in ``_Binary.__new__``: one frame.
 
 
 class _Ref(weakref.ref):
@@ -112,7 +116,15 @@ class _Interned:
     def __new__(cls, *fields):
         key = (cls, *fields)
         ref = _TABLE.get(key)  # the live value under the key, else a new one
-        return ref and ref() or cls._make(key, fields)
+        if ref is not None and (value := ref()) is not None:
+            return value
+        global _made
+        _made += 1
+        value = object.__new__(cls)
+        value._init(*fields)
+        ref = _TABLE[key] = _Ref(value, _forget)
+        ref.key = key
+        return value
 
     @classmethod
     def find(cls, *fields):
@@ -120,18 +132,6 @@ class _Interned:
         key = (cls, *fields)
         ref = _TABLE.get(key)
         return ref and ref() or key
-
-    @classmethod
-    def _make(cls, key: tuple, fields: tuple):
-        """Build and check a value, then enter it under ``key``."""
-        global _made
-        _made += 1
-        value = object.__new__(cls)
-        value._init(*fields)
-        ref = _Ref(value, _forget)
-        ref.key = key
-        _TABLE[key] = ref
-        return value
 
     def __reduce__(self):  # copying or unpickling yields the interned value
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -389,11 +389,22 @@ class _Binary(Term):
     left: Term
     right: Term
 
-    def _init(self, left: Term, right: Term) -> None:
-        self.left, self.right, self._text = left, right, None
+    def __new__(cls, left: Term, right: Term):
+        # _Interned.__new__ with the fields set inline (see "interning")
+        key = (cls, left, right)
+        ref = _TABLE.get(key)
+        if ref is not None and (value := ref()) is not None:
+            return value
+        global _made
+        _made += 1
+        value = object.__new__(cls)
+        value.left, value.right, value._text = left, right, None
         lids, rids = left.ids, right.ids
-        self.ids = lids | rids if lids and rids else lids or rids
-        self.n_frozen = left.n_frozen + right.n_frozen
+        value.ids = lids | rids if lids and rids else lids or rids
+        value.n_frozen = left.n_frozen + right.n_frozen
+        ref = _TABLE[key] = _Ref(value, _forget)
+        ref.key = key
+        return value
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)

@@ -339,6 +339,37 @@ def test_transitions_survive_pickle_and_deepcopy():
         assert copy.deepcopy(t) == t
 
 
+_LABEL_FIELDS = {
+    Handshake: ("ident", "action"),
+    Interrupt: ("idents",),
+    CompletePreemptive: ("ident", "action", "demanded"),
+    CompleteConservative: ("ident", "action", "demanded", "continuation"),
+}
+
+
+def test_transitions_built_in_c_are_the_named_tuples_their_constructors_make():
+    relations = ((handshake_steps, Handshake), (interrupt_steps, Interrupt),
+                 (preemptive_completions, CompletePreemptive),
+                 (conservative_completions, CompleteConservative))
+    seen = set()
+    for state in build(S, DEFS, Bounds(max_states=60)).states:
+        for derive, label_class in relations:
+            for t in derive(state, DEFS):
+                seen.add(label_class)
+                label = t.label
+                assert type(t) is Transition and type(label) is label_class
+                assert isinstance(t, Transition) and isinstance(label, label_class)
+                assert t._fields == ("source", "label", "target")
+                assert label._fields == _LABEL_FIELDS[label_class]
+                assert label == tuple(label) == label_class(*label)
+                made = Transition(state, label_class(*label), t.target)
+                assert t == made and repr(t) == repr(made)
+                assert t._replace(target=NIL) == Transition(state, label, NIL)
+                assert label._replace() == label and type(label._replace()) is label_class
+                assert pickle.loads(pickle.dumps(t)) == t
+    assert seen == set(_LABEL_FIELDS)
+
+
 _RANK = {Handshake: 0, Interrupt: 1, CompletePreemptive: 2, CompleteConservative: 3}
 
 
@@ -584,6 +615,23 @@ def test_a_known_call_meets_no_stand_in_whose_term_was_made_since():
     steps = handshake_steps(config, DEFS, memo, known)
     assert steps == handshake_steps(config, DEFS, {}, known)
     assert [format_term(t.target) for t in steps if t is not None] == [target]
+
+
+def test_a_known_call_meets_no_stand_in_whose_par_alone_was_made_since():
+    # as above, but the started prefix stays alive, so making the target
+    # makes only Par nodes: their count alone must empty the memo
+    config = parse_process("(xa.0 | xb.0) | xc.0")
+    started = FrozenConsume(Action("xa"), 1, config.left.left.cont)
+    gc.collect()
+    memo = {}
+    handshake_steps(config, DEFS, memo, {config})
+    assert (Par, started, config.left.right) in memo[config.left][0]
+    made = syntax._made
+    known = {Par(Par(started, config.left.right), config.right)}
+    assert syntax._made == made + 2
+    steps = handshake_steps(config, DEFS, memo, known)
+    assert steps == handshake_steps(config, DEFS, {}, known)
+    assert [format_term(t.target) for t in steps if t is not None] == ["([xa#1].0 | xb.0) | xc.0"]
 
 
 def test_a_shared_memo_derives_what_generated_terms_derive_alone(monkeypatch):

@@ -183,7 +183,10 @@ def test_tau_rejected_as_prefix():
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_process("a.0 +\n  )")
-    assert err.value.line == 2
+    assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(ParseError) as err:
+        parse_model("C := a.0;\n\nD := [a#0].0;")
+    assert (err.value.line, err.value.column) == (3, 9)
 
 
 @pytest.mark.parametrize("bad", ["", "5", "~a", "[a#0].0", "(a.0", "a..0", "[]", "tau",
@@ -417,6 +420,27 @@ def test_constructors_return_the_requested_node(action, ident, cont, other):
             assert type(node) is cls
             assert tuple(getattr(node, f.name) for f in dataclasses.fields(node)) == args
     assert len({format_term(n) for n in built}) == len(set(map(id, built)))
+
+
+@given(terms | st.just(HOLE), terms | st.just(HOLE), st.sampled_from((Sum, Par)))
+def test_a_binary_node_is_counted_once_and_entered_while_it_lives(left, right, node):
+    # Sum and Par build in their own __new__; it must keep the interning
+    # protocol: one count per new value (the memo guard reads it), none on a
+    # hit, a table entry that goes with the value, and find's stand-in rule
+    stand_in = (node, left, right)
+    new = node.find(left, right) == stand_in  # else some other test holds it
+    made = syntax._made
+    value = node(left, right)
+    assert syntax._made == made + new
+    assert node(left, right) is value and syntax._made == made + new
+    assert node.find(left, right) is value and syntax._TABLE[stand_in]() is value
+    assert copy.copy(value) is value and pickle.loads(pickle.dumps(value)) is value
+    running = [t for t in subterms(value) if isinstance(t, (FrozenConsume, FrozenConserve))]
+    assert value.ids == {t.ident for t in running} and value.n_frozen == len(running)
+    if new:
+        del value
+        assert stand_in not in syntax._TABLE
+        assert node.find(left, right) == stand_in and syntax._made == made + 1
 
 
 def test_ill_formed_constructions_raise_every_time():
