@@ -12,7 +12,7 @@ from pathlib import Path
 
 from papc.cli import load_model
 from papc.lts import Bounds, build, stats
-from papc.semantics import label_text, system_steps
+from papc.semantics import label_text, system_steps, transition_sort_key
 from papc.syntax import format_term
 
 DEFAULT_MODEL = Path(__file__).resolve().parent.parent / "models" / "cell_protein.papc"
@@ -23,7 +23,7 @@ def show_frontier(config, defs, depth, max_depth, seen):
         return
     seen.add(config)
     indent = "  " * depth
-    for t in system_steps(config, defs):
+    for t in sorted(system_steps(config, defs), key=transition_sort_key):
         print(f"{indent}{label_text(t.label):<16} {format_term(t.target)}")
         show_frontier(t.target, defs, depth + 1, max_depth, seen)
 

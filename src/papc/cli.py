@@ -27,7 +27,7 @@ from .errors import CapExceeded, NoRoot, PapcError, ParseError, UsageError
 from .equivalence import NOT_BISIMILAR, UNKNOWN, bisimilar
 from .lts import Bounds, build, export, stats
 from .parsing import parse_model, parse_process
-from .semantics import all_steps, is_system_step, label_text, system_steps
+from .semantics import all_steps, is_system_step, label_text, system_steps, transition_sort_key
 from .syntax import Definitions, Term, format_term, validate
 
 __all__ = ["ModelFile", "load_model", "main"]
@@ -89,7 +89,7 @@ def cmd_check(args, out: TextIO) -> int:
 def cmd_steps(args, out: TextIO) -> int:
     model = load_model(args.model)
     config = _resolve_root(model, args.from_text)
-    for t in _steps_for(args.mode)(config, model.definitions):
+    for t in sorted(_steps_for(args.mode)(config, model.definitions), key=transition_sort_key):
         print(f"{label_text(t.label)} -> {format_term(t.target)}", file=out)
     return EXIT_OK
 
@@ -142,7 +142,7 @@ def cmd_repl(args, out: TextIO, in_stream: Optional[TextIO] = None) -> int:
     print("commands: <number> step, u undo, f filter system steps, q quit", file=out)
     while True:
         current = history[-1]
-        transitions = all_steps(current, model.definitions)
+        transitions = sorted(all_steps(current, model.definitions), key=transition_sort_key)
         shown = [t for t in transitions if not show_system_only or is_system_step(t)]
         print(f"\nat: {format_term(current)}", file=out)
         if not shown:

@@ -35,8 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import IllFormedPlacement
 from .lts import Bounds
-from .semantics import (CompleteConservative, Transition, _union, all_steps, label_text,
-                        transition_sort_key)
+from .semantics import CompleteConservative, Transition, all_steps, label_text, transition_sort_key
 from .syntax import (
     Action,
     Definitions,
@@ -149,7 +148,7 @@ class _Explorer:
         queue, level = self._queue, self.level
         while queue and level[queue[0]] <= max_level and len(level) <= limit:
             state = queue.popleft()
-            steps = _union(state, self.defs)
+            steps = all_steps(state, self.defs)
             self.steps[state] = steps
             below = level[state] + 1
             for t in steps:

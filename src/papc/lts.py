@@ -19,7 +19,7 @@ from json import dumps
 from json.encoder import encode_basestring_ascii
 from typing import Literal
 
-from .semantics import Label, all_steps, label_text, system_steps
+from .semantics import Label, all_steps, label_text, system_steps, transition_sort_key
 from .syntax import Definitions, EMPTY_DEFINITIONS, Term, format_term
 
 __all__ = ["Bounds", "Lts", "LtsStats", "build", "stats", "export"]
@@ -78,13 +78,13 @@ class LtsStats:
 def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bounds()) -> Lts:
     """Breadth-first exploration from ``root`` with structural deduplication.
 
-    State numbering follows BFS discovery order over deterministically
-    ordered transitions, so identical inputs build identical systems.
+    State numbering follows BFS discovery order, each state's transitions
+    sorted by ``transition_sort_key``: identical inputs build identical systems.
 
     Once ``bounds.max_states`` states are known when a state's expansion
     starts, only its edges into known states can be kept: the derivation is
     given the state index as ``known``, so only those edges are built and
-    ordered, and the state is truncated if it had any other step.  The
+    sorted, and the state is truncated if it had any other step.  The
     targets of the other steps are not even built as terms: they are only
     looked up among the live ones, as every known state is live.  A sorted
     list filtered to known targets equals the filter of the fully sorted
@@ -104,10 +104,10 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
             truncated.add(i)
             continue
         known = index if len(states) >= bounds.max_states else None
-        for t in derive(states[i], defs, memo, known):
-            if t is None:  # a step into a new state, left out at the bound
-                truncated.add(i)
-                continue
+        steps = derive(states[i], defs, memo, known)
+        if None in steps:  # a step into a new state, left out at the bound
+            truncated.add(i)
+        for t in sorted(filter(None, steps), key=transition_sort_key):
             j = index.get(t.target)
             if j is None:
                 if len(states) >= bounds.max_states:

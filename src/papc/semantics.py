@@ -26,11 +26,10 @@ The relations, and the transition label each one carries:
 
 Constants unfold through every relation except ``I``, where plain processes
 (constants and the inert term included) keep the empty self-loop untouched.
-All functions are pure; transition sets come back deterministically ordered.
-Steps are collected in insertion order, never in a set, so the order they
-are derived in is a function of the term alone: ``_union`` hands them out
-in that order to callers that need no order, such as the bisimulation
-explorer, and the public functions sort them.
+All functions are pure, and each returns its transitions in derivation
+order.  Steps are collected in insertion order, never in a set, so that order
+is a function of the term alone; a caller that shows transitions sorts them
+by ``transition_sort_key``.
 
 Successive states of a build share most of their subterms as the same
 interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
@@ -50,7 +49,7 @@ components, and raise ``CapExceeded`` instead of sampling.
 A caller that keeps only transitions into targets it already knows passes
 them as ``known`` to the same four functions: the steps into other targets
 are then derived but never built as terms or transitions, printed or sorted,
-and each is counted by a None after the ordered transitions that relation
+and each is counted by a None after the transitions that relation
 kept.  ``lts.build`` does this once its state bound is reached.  Such a
 derivation builds its targets with ``find`` and makes no node: a known
 state is alive and so are all its subterms, so a target that needs a node
@@ -512,7 +511,7 @@ def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
 
 
 def _transitions(source: Term, label_class: type, steps: Collection[tuple],
-                 known: Known = None, sort: bool = True) -> tuple[Transition | None, ...]:
+                 known: Known = None) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
     # With ``known``, a step into another target is counted by a trailing None.
     # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
@@ -521,25 +520,23 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
     new = tuple.__new__
     transitions = [new(Transition, (source, new(label_class, step[:-1]), step[-1]))
                    for step in kept]
-    if sort:
-        transitions.sort(key=transition_sort_key)
     return tuple(transitions) + (None,) * (len(steps) - len(kept))
 
 
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
-                    known: Known = None, *, _sort: bool = True) -> tuple[Transition | None, ...]:
+                    known: Known = None) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
     steps = _h(config, defs, frozenset(), _memo_for(memo, known), True, known is not None)
-    return _transitions(config, Handshake, steps, known, _sort)
+    return _transitions(config, Handshake, steps, known)
 
 
 def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
-                    known: Known = None, *, _sort: bool = True) -> tuple[Transition | None, ...]:
+                    known: Known = None) -> tuple[Transition | None, ...]:
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
     steps = _interrupts(config, config.ids, _memo_for(memo, known), True, known is not None)
-    return _transitions(config, Interrupt, steps, known, _sort)
+    return _transitions(config, Interrupt, steps, known)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -556,28 +553,19 @@ def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS
     return _transitions(config, CompleteConservative, _completions(config, config.ids)[1])
 
 
-def _union(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
-           known: Known = None, sort: bool = False) -> tuple[Transition | None, ...]:
-    """The union of the four relations, H, I, CP and CC in turn, each in
-    derivation order, or with ``sort`` in ``transition_sort_key`` order.
-
-    Derivation order is a function of the term alone: steps are collected in
-    insertion order, never in a set.  H and I go through their public
-    functions, so a tracer that wraps those names sees every derivation."""
-    starts = handshake_steps(config, defs, memo, known, _sort=sort)
-    interrupts = interrupt_steps(config, defs, memo, known, _sort=sort)
-    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
-    return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known, sort)
-            + _transitions(config, CompleteConservative, cc, known, sort))
-
-
 def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
               memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
-    """The union of the four relations, deterministically ordered.
+    """The union of the four relations: H, I, CP and CC in turn, each in
+    derivation order, which is a function of the term alone; sort by
+    ``transition_sort_key`` to show them.
 
-    The relation comes first in the sort key, so the four sorted relations
-    concatenate in order."""
-    return _union(config, defs, memo, known, sort=True)
+    H and I go through their public functions, so a tracer that wraps those
+    names sees every derivation."""
+    starts = handshake_steps(config, defs, memo, known)
+    interrupts = interrupt_steps(config, defs, memo, known)
+    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
+    return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known)
+            + _transitions(config, CompleteConservative, cc, known))
 
 
 def is_system_step(t: Transition) -> bool:

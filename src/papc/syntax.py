@@ -532,8 +532,11 @@ class Definitions:
     bindings: Mapping[str, Term]
 
     def __post_init__(self) -> None:
-        for name in self.bindings:
+        for name, body in self.bindings.items():
             _check_name(name)
+            if not is_process(body):  # completions never unfold a constant
+                raise ValueError(f"the body of {name!r} is not a plain process: "
+                                 f"{format_term(body)}")
 
     def get(self, name: str) -> Optional[Term]:
         return self.bindings.get(name)

@@ -77,6 +77,30 @@ def test_replicator_witness_is_cp_versus_cc():
     assert verify_witness(p, q, verdict.witness, REPLICATOR_DEFS)
 
 
+def test_the_explorer_derives_through_the_module_name(monkeypatch):
+    # a tracer that wraps equivalence.all_steps sees one call per expanded
+    # joint state
+    import papc.equivalence as eq
+
+    calls, explorers = [], []
+
+    def counted(config, defs):
+        calls.append(config)
+        return all_steps(config, defs)
+
+    class Recorded(_Explorer):
+        def __init__(self, roots, defs):
+            super().__init__(roots, defs)
+            explorers.append(self)
+
+    monkeypatch.setattr(eq, "all_steps", counted)
+    monkeypatch.setattr(eq, "_Explorer", Recorded)
+    p, q = parse_process("a.(C1 | C1)"), parse_process("a:C2")
+    assert bisimilar(p, q, REPLICATOR_DEFS, SMALL).outcome == NOT_BISIMILAR
+    [explorer] = explorers
+    assert calls == list(explorer.steps) and len(calls) > 2
+
+
 @pytest.mark.parametrize("bounds", [Bounds(), Bounds(max_states=2, max_depth=6)],
                          ids=["exact", "bounded"])
 def test_witness_follows_a_continuation(bounds):

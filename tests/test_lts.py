@@ -15,7 +15,7 @@ from papc import syntax
 from papc.cli import load_model
 from papc.lts import Bounds, build, export, stats
 from papc.parsing import parse_definitions, parse_process
-from papc.semantics import all_steps, label_text, system_steps
+from papc.semantics import all_steps, label_text, system_steps, transition_sort_key
 from papc.syntax import format_term
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
@@ -272,15 +272,15 @@ def test_bounds_must_be_ints(field, value):
 
 
 def reference_build(root, defs, bounds):
-    """Breadth-first, each state's complete step set with no memo and no
-    ``known``, keeping the edges into indexed states."""
+    """Breadth-first, each state's complete step set sorted, with no memo
+    and no ``known``, keeping the edges into indexed states."""
     derive = system_steps if bounds.step_mode == "system" else all_steps
     states, index, depth, edges, truncated = [root], {root: 0}, [0], [], set()
     for i, state in enumerate(states):  # states grows as it is read: a FIFO queue
         if depth[i] >= bounds.max_depth:
             truncated.add(i)
             continue
-        for t in derive(state, defs):
+        for t in sorted(derive(state, defs), key=transition_sort_key):
             if t.target not in index:
                 if len(states) >= bounds.max_states:
                     truncated.add(i)

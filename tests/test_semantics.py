@@ -3,8 +3,12 @@
 import collections
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -314,9 +318,42 @@ def test_system_steps_share_an_identifier_across_nesting_levels():
 
 
 def test_transition_order_is_deterministic():
+    # derivation order depends on the term alone, not on a memo's contents
     steps = all_steps(S2, DEFS)
-    assert list(steps) == sorted(steps, key=transition_sort_key)
+    memo = {}
+    for state in build(S2, DEFS, Bounds(max_states=30)).states:
+        all_steps(state, DEFS, memo)
+    assert all_steps(S2, DEFS, memo) == steps
     assert all_steps(parse_process(format_term(S2)), DEFS) == steps
+
+
+# Prints the derivation order of all_steps and system_steps over the first
+# 30 states of a cell-model build.  Terms hash by address and names through
+# seeded string hashes, so a set order that reached derivation would show
+# up as a difference between two interpreters.
+_DERIVATION_ORDER_SCRIPT = """
+import sys
+from papc.cli import load_model
+from papc.lts import Bounds, build
+from papc.semantics import all_steps, system_steps
+
+model = load_model(sys.argv[1])
+for state in build(model.root, model.definitions, Bounds(max_states=30)).states:
+    for derive in (all_steps, system_steps):
+        print(derive.__name__, *derive(state, model.definitions), sep="\\n")
+"""
+
+
+def test_derivation_order_is_identical_across_processes():
+    root = Path(__file__).resolve().parents[1]
+    runs = [subprocess.run([sys.executable, "-c", _DERIVATION_ORDER_SCRIPT,
+                            str(root / "models" / "cell_protein.papc")],
+                           capture_output=True, check=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                                    PYTHONHASHSEED=str(seed))).stdout
+            for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    assert runs[0].count("all_steps") == runs[0].count("system_steps") == 30
 
 
 def test_labels_of_different_relations_never_compare_equal():
@@ -388,7 +425,8 @@ def test_transition_order_matches_an_independent_key(config):
     # relation, then the label fields in order (sets sorted, the
     # continuation printed), then the printed target
     keys = [(_RANK[type(t.label)], tuple(_field_key(v) for v in t.label),
-             format_term(t.target)) for t in all_steps(config, DEFS)]
+             format_term(t.target))
+            for t in sorted(all_steps(config, DEFS), key=transition_sort_key)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 

@@ -524,6 +524,15 @@ def test_definition_bodies_must_be_plain():
         parse_definitions("X := [a#1].0;")
 
 
+@pytest.mark.parametrize("body", ["[b#1].0", "a.[] + b.0"])
+def test_definitions_refuse_a_body_that_is_not_a_plain_process(body):
+    # completions never unfold a constant: with X := [b#1].0, X | X derived
+    # no completion of the running b, yet validate found nothing wrong
+    term = parse_context(body) if "[]" in body else parse_process(body)
+    with pytest.raises(ValueError, match="not a plain process"):
+        Definitions({"X": term})
+
+
 @pytest.mark.parametrize("name", ["x y", "tau"])
 def test_definitions_refuse_a_name_no_constant_can_reference(name):
     # such a binding could never be unfolded, yet validate found nothing wrong
