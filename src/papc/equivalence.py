@@ -13,11 +13,12 @@ One engine serves every check: a breadth-first explorer of the joint space,
 signature-based partition refinement that keeps every round's partition, and
 a witness reader over that history.  Round ``k`` splits exactly the pairs on
 which the attacker of the distinguishing game wins within ``k`` moves, so a
-split pair comes with a replayable ``k``-step witness.  When the joint space
-fits within ``max_states`` refinement runs to its fixpoint: the answer is
-exact.  Otherwise each depth ``d`` up to ``max_depth`` explores one level
-more and runs ``d`` rounds over what a ``d``-move game reaches; this answers
-``not-bisimilar`` (with a witness) or ``unknown``, and never guesses.
+split pair comes with a replayable ``k``-step witness.  Each depth ``d``
+explores one level more and adds round ``d``, over what a ``d``-move game
+reaches, to a history never rebuilt.  Once the whole joint space is known and
+fits within ``max_states`` the rounds cover it up to the fixpoint: the answer
+is exact.  A larger space is played to ``max_depth``: ``not-bisimilar`` (with
+a witness) or ``unknown``, never a guess.
 
 The explorer keeps each state's transitions in derivation order and never
 sorts them: refinement compares sets.  Only the witness reader orders
@@ -26,10 +27,11 @@ transitions, those of the states its line visits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -127,9 +129,10 @@ class _Explorer:
 
     * each level holds the same states in every order, and levels never
       decrease along discovery order.  So the states a ``d``-move game
-      reaches, the size of a fully explored space and the result of
-      ``expand`` are the same in every order;
-    * ``_refine`` signs a state by a frozenset of items.  It numbers blocks
+      reaches and the size of a fully explored space are the same in every
+      order, and a call of ``expand`` that stops partway through a level
+      ends the check: no round reads that partial level;
+    * ``_extend`` signs a state by a frozenset of items.  It numbers blocks
       in discovery order, but only which states share a block is read, and
       that partition is the same in every order, as is its block count;
     * ``_distinguished`` sorts the transitions it reads.
@@ -139,13 +142,12 @@ class _Explorer:
         self.defs = defs
         self.level: dict[Term, int] = dict.fromkeys(roots, 0)
         self.steps: dict[Term, tuple[Transition, ...]] = {}
-        self._queue = deque(self.level)
+        self.queue = deque(self.level)
 
     def expand(self, max_level: float, limit: int) -> bool:
         """Derive the transitions of every state up to ``max_level``,
-        stopping once more than ``limit`` states are known; false if more
-        than ``limit`` states lie within one level past ``max_level``."""
-        queue, level = self._queue, self.level
+        stopping once more than ``limit`` states are known; false if so."""
+        queue, level = self.queue, self.level
         while queue and level[queue[0]] <= max_level and len(level) <= limit:
             state = queue.popleft()
             steps = all_steps(state, self.defs)
@@ -156,10 +158,7 @@ class _Explorer:
                     if succ not in level:
                         level[succ] = below
                         queue.append(succ)
-        # count no state further out: an earlier call that stopped partway
-        # through a level found some, and which ones depends on the order
-        beyond = next(i for i, d in enumerate(reversed(level.values())) if d <= max_level + 1)
-        return len(level) - beyond <= limit
+        return len(level) <= limit
 
 
 def _after(t: Transition) -> tuple[Term, ...]:
@@ -180,31 +179,30 @@ def _item(t: Transition, blocks: dict[Term, int]) -> tuple:
     return (label, blocks[t.target])
 
 
-def _refine(explorer: _Explorer, rounds: Optional[int] = None) -> list[dict[Term, int]]:
-    """The partition after every round of signature refinement, round 0 (one
-    block) first: a state's next block is its block plus its set of items.
+def _extend(explorer: _Explorer, history: list, keys: list, depth: int, exact: bool) -> bool:
+    """Add round ``depth`` to the refinement history: ``history[r]`` maps
+    states to round-``r`` blocks, and ``keys[r]`` numbers round ``r``'s
+    signatures, a state's block plus its set of items.
 
-    With ``rounds`` unset, over a fully expanded space, refinement runs until
-    a round leaves the block count unchanged.  Otherwise round ``r`` of
-    ``rounds`` re-signs only the states at most ``rounds - r`` levels from
-    the roots, which is all that a ``rounds``-move game can reach.
+    Round ``r`` covers the states at most ``depth - r`` levels from the
+    roots, all that a ``depth``-move game reaches, or every state when
+    ``exact``; then true as soon as a round splits no block: the fixpoint.
+    Levels never decrease along discovery order, so each round signs only
+    the states past those it signed at a smaller depth.
     """
     states = list(explorer.level)
-    levels = list(explorer.level.values())
     steps = explorer.steps
-    history = [dict.fromkeys(states, 0)]
-    while len(history) - 1 != rounds:
-        blocks = history[-1]
-        reach = len(states) if rounds is None else bisect_right(levels, rounds - len(history))
-        keys: dict = {}
-        history.append({
-            s: keys.setdefault((blocks[s], frozenset([_item(t, blocks) for t in steps[s]])),
-                               len(keys))
-            for s in states[:reach]
-        })
-        if rounds is None and len(keys) == len(set(blocks.values())):
-            break
-    return history
+    history.append({})
+    keys.append({})
+    for r in range(1, depth + 1):
+        blocks, signed, numbers = history[r - 1], history[r], keys[r]
+        reach = len(states) if exact else bisect_right(states, depth - r, key=explorer.level.get)
+        for s in states[len(signed):reach]:
+            signed[s] = numbers.setdefault(
+                (blocks[s], frozenset([_item(t, blocks) for t in steps[s]])), len(numbers))
+        if exact and len(numbers) == len(keys[r - 1]):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,8 @@ def bisimilar(
     """Decide bisimilarity within bounds.
 
     Exact when the joint reachable space fits in ``bounds.max_states``;
-    otherwise refinement bounded by ``bounds.max_depth`` levels, which can
-    only answer ``not-bisimilar`` (with a witness) or ``unknown``, the latter
+    otherwise a game bounded by ``bounds.max_depth`` moves, which can only
+    answer ``not-bisimilar`` (with a witness) or ``unknown``, the latter
     also once more than ``64 * bounds.max_states`` states are known.
     Bisimilarity compares every transition, so ``bounds.step_mode`` must be
     ``"all"``; any other mode raises ``ValueError``.
@@ -293,18 +291,19 @@ def bisimilar(
     if left == right:
         return Verdict(BISIMILAR, detail="identical configurations")
     explorer = _Explorer((left, right), defs)
-    if explorer.expand(math.inf, bounds.max_states):
-        history = _refine(explorer)
-        if history[-1][left] == history[-1][right]:
-            return Verdict(BISIMILAR, detail=f"exact over {len(explorer.level)} joint states")
-        return _distinguished(left, right, explorer.steps, history)
-    # the space is too large for an exact answer: one more level per depth
+    history, keys = [defaultdict(int)], [{(): 0}]  # round 0: one block
     limit = bounds.max_states * 64
-    for depth in range(1, bounds.max_depth + 1):
-        if not explorer.expand(depth - 1, limit):
+    for depth in itertools.count(1):
+        if depth > bounds.max_depth:
+            if not explorer.expand(math.inf, bounds.max_states):
+                break
+        elif not explorer.expand(depth - 1, limit):
             return Verdict(UNKNOWN, detail=(f"game budget exhausted: more than {limit} joint "
                                             f"states known before a difference was found"))
-        history = _refine(explorer, depth)
+        exact = not explorer.queue and len(explorer.level) <= bounds.max_states
+        # no earlier round split the roots, so the fixpoint holds them in one block
+        if _extend(explorer, history, keys, depth, exact):
+            return Verdict(BISIMILAR, detail=f"exact over {len(explorer.level)} joint states")
         if history[-1][left] != history[-1][right]:
             return _distinguished(left, right, explorer.steps, history)
     return Verdict(UNKNOWN, detail=(f"joint space exceeds {bounds.max_states} states and the "

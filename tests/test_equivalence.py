@@ -2,7 +2,7 @@
 
 import collections
 import dataclasses
-import math
+import hashlib
 import os
 import random
 import subprocess
@@ -14,7 +14,7 @@ from hypothesis import given, reject, settings
 
 import bisim_oracle
 import strategies
-from gen import random_process
+from gen import STANDARD_DEFS, random_process
 from papc.equivalence import (
     BISIMILAR,
     NOT_BISIMILAR,
@@ -101,8 +101,11 @@ def test_the_explorer_derives_through_the_module_name(monkeypatch):
     assert calls == list(explorer.steps) and len(calls) > 2
 
 
-@pytest.mark.parametrize("bounds", [Bounds(), Bounds(max_states=2, max_depth=6)],
-                         ids=["exact", "bounded"])
+# exact-past-depth: the space fits in max_states, so the 3-move witness is
+# found although it lies past max_depth
+@pytest.mark.parametrize("bounds", [Bounds(), Bounds(max_states=2, max_depth=6),
+                                    Bounds(max_depth=2)],
+                         ids=["exact", "bounded", "exact-past-depth"])
 def test_witness_follows_a_continuation(bounds):
     p, q = parse_process("a:b.0"), parse_process("a:c.0")
     verdict = bisimilar(p, q, EMPTY_DEFINITIONS, bounds)
@@ -144,6 +147,16 @@ def test_bound_exhaustion_yields_unknown():
     assert verdict.outcome == UNKNOWN
 
 
+@pytest.mark.parametrize("max_states,outcome,detail", [
+    (100, BISIMILAR, "exact over 13 joint states"),
+    (10, UNKNOWN, "joint space exceeds 10 states and the game found no difference within depth 2"),
+])
+def test_a_space_deeper_than_the_game_is_exact_when_it_fits(max_states, outcome, detail):
+    p, q = parse_process("a.b.c.d.e.0 + 0"), parse_process("a.b.c.d.e.0")
+    verdict = bisimilar(p, q, EMPTY_DEFINITIONS, Bounds(max_states=max_states, max_depth=2))
+    assert (verdict.outcome, verdict.detail) == (outcome, detail)
+
+
 # Runs bisimilar in a fresh interpreter and prints the verdict, the detail,
 # the witness and the explorer's discovery order.  Terms hash by address,
 # which changes from process to process, so any set order that reaches the
@@ -165,7 +178,7 @@ eq._Explorer = Recorded
 for defs, left, right, max_states in (
         # a four-move witness on the exact path
         ("", "(a.0 | a.0) | ~a.0", "a.0 | (a.0 | ~a.0)", 400),
-        # the exact path stops partway through a level, then the game decides
+        # the game decides at depth 2, before the space is known
         ("C1 := a.(C1 | C1); C2 := a:C2;", "C1", "C2", 20)):
     verdict = eq.bisimilar(parse_process(left), parse_process(right),
                            parse_definitions(defs), Bounds(max_states=max_states))
@@ -188,18 +201,24 @@ def test_verdicts_and_discovery_order_are_identical_across_processes():
     assert "not-bisimilar distinguished at game depth 2" in lines
 
 
-def test_the_game_budget_counts_no_state_past_the_next_level():
-    # the exact attempt stops partway through a level, having found some
-    # states of the next one; which ones depends on derivation order, so the
-    # budget of a shallower game does not count them
-    explorer = _Explorer((parse_process("C1"), parse_process("C2")), REPLICATOR_DEFS)
-    assert not explorer.expand(math.inf, 20)
-    known = len(explorer.level)
-    within = sum(1 for d in explorer.level.values() if d <= 1)
-    assert within < known
-    assert explorer.expand(0, within)
-    assert not explorer.expand(0, within - 1)
-    assert len(explorer.level) == known
+def test_the_game_derives_only_the_levels_it_reads(monkeypatch):
+    # the replicators split at game depth 2, so only the states at most one
+    # move from the roots are derived, although the space exceeds max_states
+    import papc.equivalence as eq
+
+    explorers = []
+
+    class Recorded(_Explorer):
+        def __init__(self, roots, defs):
+            super().__init__(roots, defs)
+            explorers.append(self)
+
+    monkeypatch.setattr(eq, "_Explorer", Recorded)
+    verdict = bisimilar(parse_process("C1"), parse_process("C2"), REPLICATOR_DEFS,
+                        Bounds(max_states=20))
+    assert len(verdict.witness) == 2
+    [explorer] = explorers
+    assert list(explorer.steps) == [s for s, d in explorer.level.items() if d <= 1]
 
 
 def test_a_system_step_mode_is_refused():
@@ -435,3 +454,31 @@ def test_probe_rejects_inequivalent_pairs():
     assert report.verified_pairs == 0
     assert report.rejected_pairs == (0, 1)
     assert report.checks == 0
+
+
+# ---------------------------------------------------------------------------
+# a golden digest of verdicts, details and witnesses
+#
+# verify_witness accepts any valid witness, so only a digest notices a change
+# in which witness is chosen.  Seeded random pairs, the law P ~ P + 0 and the
+# replicator pair run under three bounds that between them give every kind
+# of detail.  The digest changes only with an intended change of output.
+
+GOLDEN_DIGEST = "0038328d9267c0d6385c36ae2ac7b0e0acb8d0adcaa58aa529130a6618e0a48e"
+
+
+def test_verdicts_details_and_witnesses_match_the_golden_digest():
+    rng = random.Random(1919)
+    pairs = [(random_process(rng, 3), random_process(rng, 3), STANDARD_DEFS) for _ in range(200)]
+    pairs += [(p, Sum(p, NIL), defs) for p, _, defs in pairs[:40]]
+    pairs.append((parse_process("a.(C1 | C1)"), parse_process("a:C2"), REPLICATOR_DEFS))
+    digest, kinds = hashlib.sha256(), set()
+    for bounds in (Bounds(max_states=40, max_depth=6), Bounds(max_states=12, max_depth=3),
+                   Bounds(max_states=2, max_depth=12)):
+        for p, q, defs in pairs:
+            verdict = bisimilar(p, q, defs, bounds)
+            kinds.add(verdict.detail.split()[0])
+            for line in (verdict.outcome, verdict.detail, *(s.describe() for s in verdict.witness)):
+                digest.update(line.encode() + b"\n")
+    assert kinds == {"identical", "exact", "distinguished", "joint", "game"}
+    assert digest.hexdigest() == GOLDEN_DIGEST
