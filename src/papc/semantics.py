@@ -41,7 +41,13 @@ pure: ``lts.build`` owns one memo for one call and drops it on return.
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
 ``system_steps`` runs it with an empty budget, so closed-system steps are
-derived directly rather than filtered out of ``all_steps``.  Interrupt
+derived directly rather than filtered out of ``all_steps``.  Its root frame
+keeps only closed-system steps: it wraps only tau starts and tau preemptive
+completions, enumerates no interrupt for a visible completion and builds no
+conservative one.  The root's children are derived in full, as a coupling at
+the root reads their visible steps, and the memo only ever holds full
+results: the root's own derivation is never stored, and a root that hits the
+memo filters the full entry it reads.  Interrupt
 choices multiply per running prefix, so I, CP, CC, ``all_steps`` and
 ``system_steps`` all first check the same cap over the top-level parallel
 components, and raise ``CapExceeded`` instead of sampling.
@@ -283,8 +289,13 @@ _STARTED = {PrefixConsume: FrozenConsume, PrefixConserve: FrozenConserve}
 _IDLE = {FrozenConsume: PrefixConsume, FrozenConserve: PrefixConserve}
 
 
-def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
-       memo: Memo | None = None, top: bool = False, find: bool = False) -> Iterable[_HStep]:
+def _tau(steps: Iterable[tuple]) -> list[tuple]:
+    return [step for step in steps if step[1] is TAU]  # starts and completions alike
+
+
+def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | None = None,
+       top: bool = False, find: bool = False, system: bool = False) -> Iterable[_HStep]:
+    """The starts of ``config``; a root frame with ``system`` wraps tau ones only."""
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
         body = defs.get(config.name)
         if body is None:
@@ -297,6 +308,8 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
         config = body
     started = _STARTED.get(type(config))
     if started is not None:
+        if system and config.action is not TAU:
+            return ()
         make = started.find if find else started
         return ((1, config.action, make(config.action, 1, config.cont)),)
     if not isinstance(config, (Sum, Par)):
@@ -304,7 +317,7 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
     # keyed by the node alone: a raising call stores nothing, and a node that
     # derived once reaches no unguarded cycle, so no ``unfolding`` makes it raise
     if memo is not None and (steps := memo.get(config)) is not None:
-        return steps
+        return _tau(steps) if system else steps
     node = type(config)
     make = node.find if find else node
     left, right = config.left, config.right
@@ -312,7 +325,9 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str],
     out: dict[_HStep, None] = {}  # insertion-ordered, merging equal steps
     left_steps = _h(left, defs, unfolding, memo, find=find)
     right_steps = _h(right, defs, unfolding, memo, find=find)
-    for steps, other, flip in ((left_steps, right, False), (right_steps, left, True)):
+    wraps = (((_tau(left_steps), right, False), (_tau(right_steps), left, True)) if system
+             else ((left_steps, right, False), (right_steps, left, True)))
+    for steps, other, flip in wraps:
         for ident, action, target in steps:
             if ident in other.ids:
                 ident, target = fresh, _rename(target, ident, fresh, find)
@@ -398,8 +413,8 @@ _CPStep = tuple[int, Action, frozenset[int], Term]
 _CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuation, target)
 
 
-def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
-                 top: bool = False, find: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
+def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, top: bool = False,
+                 find: bool = False, system: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
 
@@ -409,17 +424,22 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
     enclosing composition, a step demanding anything else can never reach
     the root demanding nothing, so it is pruned: the interrupts that would
     add such an identifier are not enumerated at all.  ``outer = config.ids``
-    prunes nothing.  Only ``outer & config.ids`` matters.
+    prunes nothing.  Only ``outer & config.ids`` matters.  A root frame with
+    ``system`` builds tau preemptive completions only (see the module docstring).
     """
     if not config.ids:
         return (), ()
     if isinstance(config, FrozenConsume):
+        if system and config.action is not TAU:
+            return (), ()
         return ((config.ident, config.action, _EMPTY, config.cont),), ()
     if isinstance(config, FrozenConserve):
+        if system:
+            return (), ()
         rearmed = (PrefixConserve.find if find else PrefixConserve)(config.action, config.cont)
         return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
     if memo is not None and (found := memo.get(key := (outer & config.ids, config))) is not None:
-        return found
+        return (_tau(found[0]), ()) if system else found
     node = type(config)
     make = node.find if find else node
     left, right = config.left, config.right
@@ -431,6 +451,8 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
         # conservative one those it chose to interrupt
         for this, other, flip in ((left, right, False), (right, left, True)):
             this_cp, this_cc = _completions(this, outer, memo, find=find)
+            if system:
+                this_cp, this_cc = _tau(this_cp), ()
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
                     cp[ident, action, demanded | other.ids, target] = None
@@ -442,8 +464,9 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None,
     else:  # Par
         cp_left, cc_left = _completions(left, outer | right.ids, memo, find=find)
         cp_right, cc_right = _completions(right, outer | left.ids, memo, find=find)
-        for this_cp, this_cc, other, flip in ((cp_left, cc_left, right, False),
-                                              (cp_right, cc_right, left, True)):
+        wraps = (((_tau(cp_left), (), right, False), (_tau(cp_right), (), left, True)) if system
+                 else ((cp_left, cc_left, right, False), (cp_right, cc_right, left, True)))
+        for this_cp, this_cc, other, flip in wraps:
             # a completion on one side; the other side interrupts at least the
             # demanded actions it hosts, and demands satisfied inside vanish
             choices_for: dict[frozenset[int], Iterable[_IStep]] = {}
@@ -579,13 +602,15 @@ def is_system_step(t: Transition) -> bool:
 
 def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
                  memo: Memo | None = None, known: Known = None) -> tuple[Transition | None, ...]:
-    """The steps of ``all_steps`` that ``is_system_step`` keeps, derived
-    directly: completions run under an empty demand budget."""
+    """The steps of ``all_steps`` that ``is_system_step`` keeps, in the same
+    order, derived directly: completions run under an empty demand budget,
+    and the root builds only tau starts and tau completions, while its
+    children are derived in full."""
     # starts before the cap check, as in all_steps, so the same error wins
     find = known is not None
     memo = _memo_for(memo, known)
-    starts = [step for step in _h(config, defs, frozenset(), memo, True, find) if step[1].is_tau]
+    starts = _h(config, defs, frozenset(), memo, True, find, system=True)
     _check_cap(config)
-    cp = [step for step in _completions(config, _EMPTY, memo, True, find)[0] if step[1].is_tau]
+    cp = _completions(config, _EMPTY, memo, True, find, system=True)[0]
     return (_transitions(config, Handshake, starts, known)
             + _transitions(config, CompletePreemptive, cp, known))

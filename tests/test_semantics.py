@@ -317,6 +317,23 @@ def test_system_steps_share_an_identifier_across_nesting_levels():
             parse_process("a.0 | (0 | 0) | ~a.0")) in labelled(system_steps(config))
 
 
+@pytest.mark.parametrize("text", [
+    "xa.0 | xb.0",       # visible starts
+    "[xa#1]:0 | xb.0",   # a conservative completion, placed beside its sibling
+    "[xa#1]:0 + xb.0",   # a conservative completion that discards a summand
+])
+def test_a_system_derivation_builds_nothing_for_the_steps_it_drops(text):
+    # every root step here is visible; with the children's whole derivation
+    # held alive, any value made would be built at the root for a dropped step
+    config = parse_process(text)
+    held = [all_steps(child, DEFS) for child in (config.left, config.right)]
+    gc.collect()
+    made = syntax._made
+    assert system_steps(config, DEFS) == ()
+    assert syntax._made == made
+    assert held
+
+
 def test_transition_order_is_deterministic():
     # derivation order depends on the term alone, not on a memo's contents
     steps = all_steps(S2, DEFS)
@@ -606,6 +623,23 @@ def test_a_memo_shared_with_known_calls_derives_what_each_call_derives_alone(con
         assert full == derive(config, DEFS)
         # every target is live now, so none of them may be met as a stand-in
         assert derive(config, DEFS, memo, {t.target for t in full}) == full
+
+
+@given(strategies.configurations, st.data())
+def test_a_memo_shared_by_both_step_modes_derives_what_a_fresh_memo_derives(config, data):
+    # system_steps filters only its root frame, so a filtered result stored
+    # in the memo would reach a later call on the same term or a larger one
+    terms = [config, *(t for t in syntax.subterms(config) if isinstance(t, (syntax.Sum, Par)))]
+    memo = {}
+    for _ in range(data.draw(st.integers(2, 6))):
+        derive = data.draw(st.sampled_from([all_steps, system_steps]))
+        term = data.draw(st.sampled_from(terms))
+        known = None
+        if data.draw(st.booleans()):
+            targets = sorted({t.target for t in derive(term, DEFS)}, key=format_term)
+            known = set(data.draw(st.lists(st.sampled_from(targets), unique=True)
+                                  if targets else st.just([])))
+        assert derive(term, DEFS, memo, known) == derive(term, DEFS, {}, known), format_term(term)
 
 
 def test_a_known_call_derives_no_subterm_a_full_call_stored(monkeypatch):
