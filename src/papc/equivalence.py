@@ -22,7 +22,9 @@ a witness) or ``unknown``, never a guess.
 
 The explorer keeps each state's transitions in derivation order and never
 sorts them: refinement compares sets.  Only the witness reader orders
-transitions, those of the states its line visits.
+transitions, those of the states its line visits.  The explorer derives
+through one memo per check, dropped with it, as its entries depend on the
+definitions; ``verify_witness`` derives without one.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class _Explorer:
     ``level`` maps every known state, in discovery order, to its distance
     from the nearest root; ``steps`` holds the transitions of every expanded
     state in derivation order.  Each call resumes where the last stopped.
+    ``memo`` holds what shared subterms derive under ``defs``, for this check.
 
     Derivation order is fixed by the terms alone, so discovery order is
     too, but it is not the sorted order.  No verdict, detail or witness
@@ -140,6 +143,7 @@ class _Explorer:
 
     def __init__(self, roots: Iterable[Term], defs: Definitions):
         self.defs = defs
+        self.memo: dict = {}
         self.level: dict[Term, int] = dict.fromkeys(roots, 0)
         self.steps: dict[Term, tuple[Transition, ...]] = {}
         self.queue = deque(self.level)
@@ -150,7 +154,7 @@ class _Explorer:
         queue, level = self.queue, self.level
         while queue and level[queue[0]] <= max_level and len(level) <= limit:
             state = queue.popleft()
-            steps = all_steps(state, self.defs)
+            steps = all_steps(state, self.defs, self.memo)
             self.steps[state] = steps
             below = level[state] + 1
             for t in steps:

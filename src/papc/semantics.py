@@ -36,7 +36,9 @@ interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
 ``interrupt_steps`` take an optional memo: each relation stores what its
 non-trivial subterms derive (with the part of the budget they hold), never
 the state itself, so states derive a shared subterm once.  Derivation stays
-pure: ``lts.build`` owns one memo for one call and drops it on return.
+pure: entries depend on the definitions, so a memo serves one call and its
+owner drops it, ``lts.build`` per build and the ``bisimilar`` explorer per
+check.  Equal identifier sets in labels share one bounded table (``_shared``).
 
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
@@ -120,8 +122,9 @@ __all__ = [
 
 INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
-# Subterm derivations as tuples in derivation order, keyed by the unfolded Sum
-# or Par node (``_h``), ``(node, allowed & node.ids)`` (``_interrupts``) or
+# Subterm derivations under one set of definitions, owned by one ``lts.build``
+# call or one ``bisimilar`` check.  Tuples in derivation order, keyed by the
+# unfolded Sum or Par node (``_h``), ``(node, allowed & node.ids)`` (``_interrupts``) or
 # ``(outer & node.ids, node)`` (``_completions``; reversed, so never equal).
 # An entry keeps the order its steps were first derived in, so a memo never
 # changes derivation order.  The public functions pass ``top``:
@@ -357,6 +360,25 @@ _IStep = tuple[frozenset[int], Term]
 
 _EMPTY: frozenset[int] = frozenset()
 
+# Equal identifier sets in labels are one object: the interrupt and completion
+# passes enter every set they build in this table, so a memo holds one copy of
+# each.  Identifiers are the least unused ones, so few sets occur; a fan-out
+# over n running prefixes may still build 2^n, so the table is bounded by
+# construction: a miss on a full table empties it first.  Sets hold no term and
+# compare by value, so the table keeps no term alive and changes no output.
+_SHARED_CAP = 1024
+_shared_sets: dict[frozenset[int], frozenset[int]] = {_EMPTY: _EMPTY}
+
+
+def _shared(ids: frozenset[int]) -> frozenset[int]:
+    found = _shared_sets.get(ids)
+    if found is None:
+        if len(_shared_sets) >= _SHARED_CAP:
+            _shared_sets.clear()
+            _shared_sets[_EMPTY] = _EMPTY  # every empty set stays the one _EMPTY
+        found = _shared_sets[ids] = ids
+    return found
+
 
 def _check_cap(config: Term) -> None:
     """Raise ``CapExceeded`` when a top-level parallel component of the
@@ -397,7 +419,7 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
     # is injective (nodes are interned by their children, and a stand-in, the
     # tuple of class and children, equals no node), so these differ too.  The
     # choice that rolls back nothing leaves ``config`` itself: no lookup.
-    steps = [(lids | rids, make(ltarget, rtarget)) if lids or rids else (_EMPTY, config)
+    steps = [(_shared(lids | rids), make(ltarget, rtarget)) if lids or rids else (_EMPTY, config)
              for (lids, ltarget), (rids, rtarget) in itertools.product(
                  _interrupts(config.left, allowed, memo, find=find),
                  _interrupts(config.right, allowed, memo, find=find))]
@@ -455,11 +477,11 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
                 this_cp, this_cc = _tau(this_cp), ()
             if other.ids <= outer:
                 for ident, action, demanded, target in this_cp:
-                    cp[ident, action, demanded | other.ids, target] = None
+                    cp[ident, action, _shared(demanded | other.ids), target] = None
             choices = _interrupts(other, other.ids & outer, memo, find=find) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
-                    cc[ident, action, demanded | interrupted, cont,
+                    cc[ident, action, _shared(demanded | interrupted), cont,
                        make(rest, target) if flip else make(target, rest)] = None
     else:  # Par
         cp_left, cc_left = _completions(left, outer | right.ids, memo, find=find)
@@ -478,7 +500,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
                     choices = choices_for[allowed] = _interrupts(other, allowed, memo, find=find)
                 for interrupted, rest in choices:
                     if interrupted >= required:
-                        cp[ident, action, (demanded | interrupted) - required,
+                        cp[ident, action, _shared((demanded | interrupted) - required),
                            make(rest, target) if flip else make(target, rest)] = None
             for ident, action, demanded, cont, target in this_cc:
                 if demanded <= outer:
@@ -492,7 +514,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
                 if rident == lident and raction == partner and visible <= outer:
-                    cp[lident, TAU, visible, make(ltarget, rtarget)] = None
+                    cp[lident, TAU, _shared(visible), make(ltarget, rtarget)] = None
         # coupled conservative completions with nothing demanded: both
         # continuations land in parallel at this level
         for lident, laction, ldem, lcont, ltarget in cc_left:
@@ -512,7 +534,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
                 for pident, paction, pdem, ptarget in other_cp:
                     if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
-                        cp[ident, TAU, pdem - cdem, make(pair, cont)] = None
+                        cp[ident, TAU, _shared(pdem - cdem), make(pair, cont)] = None
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc

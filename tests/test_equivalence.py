@@ -82,11 +82,12 @@ def test_the_explorer_derives_through_the_module_name(monkeypatch):
     # joint state
     import papc.equivalence as eq
 
-    calls, explorers = [], []
+    calls, memos, explorers = [], [], []
 
-    def counted(config, defs):
+    def counted(config, defs, *memo):
         calls.append(config)
-        return all_steps(config, defs)
+        memos.append(memo)
+        return all_steps(config, defs, *memo)
 
     class Recorded(_Explorer):
         def __init__(self, roots, defs):
@@ -99,6 +100,24 @@ def test_the_explorer_derives_through_the_module_name(monkeypatch):
     assert bisimilar(p, q, REPLICATOR_DEFS, SMALL).outcome == NOT_BISIMILAR
     [explorer] = explorers
     assert calls == list(explorer.steps) and len(calls) > 2
+    # every derivation of the check shares one memo
+    [memo] = memos[0]
+    assert isinstance(memo, dict) and all(len(m) == 1 and m[0] is memo for m in memos)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_the_explorer_memo_lasts_one_check(order):
+    # The memo keys on Sum and Par nodes, whose derivation depends on the
+    # definitions.  The same constant names bound to swapped bodies in one
+    # process must each get the verdict the memo-less oracle gives.
+    defs = [parse_definitions("X := a.0; Y := a:0;"), parse_definitions("X := a:0; Y := a.0;")]
+    pairs = [(parse_process(p), parse_process(q)) for p, q in
+             [("(X | X) | d.0", "(a.0 | a.0) | d.0"), ("(X + X) | d.0", "(a.0 + a.0) | d.0")]]
+    for i in order:
+        for p, q in pairs:
+            verdict = bisimilar(p, q, defs[i], ROOMY)
+            assert verdict.outcome != UNKNOWN
+            assert verdict.is_bisimilar == bisim_oracle.bisimilar_by_enumeration(p, q, defs[i])
 
 
 # exact-past-depth: the space fits in max_states, so the 3-move witness is

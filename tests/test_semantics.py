@@ -175,6 +175,34 @@ def test_interrupt_cap_is_per_component():
         interrupt_steps(parse_process(deep))
 
 
+def test_equal_identifier_sets_of_one_derivation_are_one_object(monkeypatch):
+    empty = semantics._EMPTY
+    monkeypatch.setattr(semantics, "_shared_sets", {empty: empty})  # as on import
+    config = parse_process("[a#1].0 | [b#2].0 + c:0 | [~c#3]:0 | [d#4].0")
+    sets = [t.label.idents if isinstance(t.label, Interrupt) else t.label.demanded
+            for t in all_steps(config) if not isinstance(t.label, Handshake)]
+    assert collections.Counter(s for s in sets if s).most_common(1)[0][1] > 1
+    first: dict = {}
+    assert all(first.setdefault(s, s) is s for s in sets)
+    assert first[frozenset()] is empty
+
+
+def test_the_shared_set_table_stays_within_its_cap(monkeypatch):
+    # n one-prefix components derive 2^n > cap interrupt sets at the root
+    # alone, on a table that starts close to full
+    cap = semantics._SHARED_CAP
+    n = cap.bit_length()
+    wide = parse_process(" | ".join(f"[a#{i}].0" for i in range(1, n + 1)))
+    monkeypatch.setattr(semantics, "_shared_sets", {frozenset([-i]): frozenset([-i])
+                                                    for i in range(cap - 24)})
+    steps = interrupt_steps(wide)
+    assert len(steps) == 2 ** n
+    assert len(semantics._shared_sets) <= cap
+    assert semantics._shared_sets[frozenset()] is semantics._EMPTY  # entered again on a clear
+    semantics._shared_sets.clear()
+    assert interrupt_steps(wide) == steps
+
+
 @pytest.mark.parametrize("derive", [preemptive_completions, conservative_completions])
 def test_completions_check_the_interrupt_cap_up_front(derive):
     deep = " + ".join(f"[a#{i}].0" for i in range(1, 18))
