@@ -10,8 +10,8 @@ Commands:
 * ``replay`` -- re-derive a recorded transcript step by step.
 
 Exit codes: 0 success (or bisimilar), 1 not bisimilar or validation/model
-error, 2 unknown verdict or an exhausted bound (the nesting limit included),
-3 usage or I/O error.
+error, 2 unknown verdict or an exhausted bound (a term too wide to derive
+within the nesting limit included), 3 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -302,8 +302,8 @@ def main(argv: Optional[Sequence[str]] = None, out: TextIO = sys.stdout) -> int:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except RecursionError:
-        # deep parentheses and long prefix chains are still parsed
-        # recursively, and every term is still derived recursively
+        # parsing is a loop at any depth; only derivation still recurses,
+        # down the spine of a wide parallel
         print("error: the input nests deeper than the nesting limit "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -15,10 +15,11 @@ a witness reader over that history.  Round ``k`` splits exactly the pairs on
 which the attacker of the distinguishing game wins within ``k`` moves, so a
 split pair comes with a replayable ``k``-step witness.  Each depth ``d``
 explores one level more and adds round ``d``, over what a ``d``-move game
-reaches, to a history never rebuilt.  Once the whole joint space is known and
-fits within ``max_states`` the rounds cover it up to the fixpoint: the answer
-is exact.  A larger space is played to ``max_depth``: ``not-bisimilar`` (with
-a witness) or ``unknown``, never a guess.
+reaches, to a history never rebuilt.  Once the whole joint space is known,
+the rounds cover it up to the fixpoint: the answer is exact, whatever its
+size.  A space not derived in full is played to ``max_depth`` and explored
+past it only while it fits within ``max_states``: ``not-bisimilar`` (with a
+witness) or ``unknown``, never a guess.
 
 The explorer keeps each state's transitions in derivation order and never
 sorts them: refinement compares sets.  Only the witness reader orders
@@ -284,10 +285,12 @@ def bisimilar(
 ) -> Verdict:
     """Decide bisimilarity within bounds.
 
-    Exact when the joint reachable space fits in ``bounds.max_states``;
-    otherwise a game bounded by ``bounds.max_depth`` moves, which can only
-    answer ``not-bisimilar`` (with a witness) or ``unknown``, the latter
-    also once more than ``64 * bounds.max_states`` states are known.
+    Exact whenever the joint reachable space is derived in full: within
+    ``bounds.max_depth`` levels, or deeper while it fits in
+    ``bounds.max_states``.  Otherwise a game bounded by ``bounds.max_depth``
+    moves, which can only answer ``not-bisimilar`` (with a witness) or
+    ``unknown``, the latter also once more than ``64 * bounds.max_states``
+    states are known.
     Bisimilarity compares every transition, so ``bounds.step_mode`` must be
     ``"all"``; any other mode raises ``ValueError``.
     """
@@ -304,7 +307,7 @@ def bisimilar(
         elif not explorer.expand(depth - 1, limit):
             return Verdict(UNKNOWN, detail=(f"game budget exhausted: more than {limit} joint "
                                             f"states known before a difference was found"))
-        exact = not explorer.queue and len(explorer.level) <= bounds.max_states
+        exact = not explorer.queue
         # no earlier round split the roots, so the fixpoint holds them in one block
         if _extend(explorer, history, keys, depth, exact):
             return Verdict(BISIMILAR, detail=f"exact over {len(explorer.level)} joint states")

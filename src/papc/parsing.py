@@ -1,4 +1,5 @@
-"""Concrete syntax: a hand-rolled lexer and recursive-descent parser.
+"""Concrete syntax: a hand-rolled lexer and an operator-precedence parser,
+one loop over an explicit stack, so any nesting parses without recursion.
 
 Grammar, loosest to tightest (both binary operators associate right):
 
@@ -46,6 +47,8 @@ _RESERVED = "tau"
 
 # the idle and the running prefix node for each separator
 _PREFIX_NODES = {".": (PrefixConsume, FrozenConsume), ":": (PrefixConserve, FrozenConserve)}
+# the binding and the node of each binary operator
+_OPERATORS = {"|": (1, Par), "+": (2, Sum)}
 
 
 class _Token(NamedTuple):
@@ -142,30 +145,40 @@ class _Parser:
 
     # -- grammar
 
-    # A chain of one operator is read in a loop and folded from the right,
-    # so its width costs no stack.  Each level of parentheses still costs
-    # three frames (par, sum, prefix); the two loops stay inline because a
-    # shared helper would add a fourth and halve the nesting that fits.
-
     def parse_par(self) -> Term:
-        operands = [self.parse_sum()]
-        while self.peek().kind == "|":
-            self.next()
-            operands.append(self.parse_sum())
-        term = operands.pop()
-        while operands:
-            term = Par(operands.pop(), term)
-        return term
-
-    def parse_sum(self) -> Term:
-        operands = [self.parse_prefix()]
-        while self.peek().kind == "+":
-            self.next()
-            operands.append(self.parse_prefix())
-        term = operands.pop()
-        while operands:
-            term = Sum(operands.pop(), term)
-        return term
+        """A process, read in one loop over an explicit operator stack so
+        that neither nesting nor width costs Python frames.  Each entry
+        waits for the operand to its right: a '(' (binding 0), a '|' (1) or
+        a '+' (2) over its left operand, or a prefix (3) with its separator
+        token.  An operator applies the entries that bind tighter than it,
+        so both binary operators nest to the right; a ')' or any other
+        token applies all of them down to the nearest '('."""
+        stack: list[tuple[int, Optional[type], tuple, _Token]] = []
+        while True:
+            kind, after = self.peek().kind, self.peek(1).kind
+            if kind == "(":
+                stack.append((0, None, (), self.next()))
+                continue
+            if kind == "~" or kind == "[" and after != "]" or kind == "name" and after in _PREFIX_NODES:
+                stack.append(self.prefix_entry())
+                continue
+            term = self.parse_atom()
+            while True:
+                tok = self.peek()
+                binding, node = _OPERATORS.get(tok.kind, (0, None))
+                while stack and stack[-1][0] > binding:
+                    _, apply, fields, at = stack.pop()
+                    try:
+                        term = apply(*fields, term)
+                    except IllFormedPlacement as exc:
+                        raise ParseError(str(exc), at.line, at.column) from None
+                if node is not None:
+                    stack.append((binding, node, (term,), self.next()))
+                    break
+                if not stack:
+                    return term
+                self.expect(")")
+                stack.pop()
 
     def parse_action(self) -> Action:
         complemented = False
@@ -178,59 +191,44 @@ class _Parser:
                               tok.line, tok.column)
         return Action(tok.text, complemented)
 
-    def parse_prefix(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            if tok.text != "0":
-                raise self.fail(f"a bare number other than 0 is not a process: {tok.text!r}")
+    def prefix_entry(self) -> tuple[int, type, tuple, _Token]:
+        """The stack entry of the prefix here: an action, or the
+        ``[action#ident]`` of a running prefix, and the separator after it."""
+        running = self.peek().kind == "["
+        if running:
             self.next()
-            return NIL
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_par()
-            self.expect(")")
-            return inner
-        if tok.kind == "[":
-            if self.peek(1).kind == "]":
-                if not self.allow_hole:
-                    raise self.fail("context hole '[]' is not allowed here")
-                self.next()
-                self.next()
-                return HOLE
-            return self.parse_frozen()
-        if tok.kind == "~" or tok.kind == "name" and self.peek(1).kind in _PREFIX_NODES:
-            return self.finish_prefix(self.parse_action())
-        if tok.kind == "name":
-            self.next()
-            if tok.text == _RESERVED:
-                raise ParseError("tau is not a process", tok.line, tok.column)
-            return Const(tok.text)
-        raise self.fail(f"expected a process, found {tok.text or 'end of input'!r}")
-
-    def finish_prefix(self, action: Action, *ident: int) -> Term:
-        """The separator and continuation after an action, or after the
-        ``[action#ident]`` of a running prefix when ``ident`` is given."""
+        fields: tuple = (self.parse_action(),)
+        if running:
+            self.expect("#")
+            num = self.expect("int")
+            fields += (int(num.text),)
+            if fields[1] < 1:
+                raise ParseError("running-action identifiers start at 1", num.line, num.column)
+            self.expect("]")
         tok = self.peek()
         if tok.kind not in _PREFIX_NODES:
-            what = "a running prefix" if ident else "an action"
+            what = "a running prefix" if running else "an action"
             raise self.fail(f"{what} must be followed by '.' or ':'")
-        self.next()
-        cont = self.parse_prefix()
-        try:
-            return _PREFIX_NODES[tok.kind][bool(ident)](action, *ident, cont)
-        except IllFormedPlacement as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+        return 3, _PREFIX_NODES[tok.kind][running], fields, self.next()
 
-    def parse_frozen(self) -> Term:
-        self.expect("[")
-        action = self.parse_action()
-        self.expect("#")
-        num = self.expect("int")
-        ident = int(num.text)
-        if ident < 1:
-            raise ParseError("running-action identifiers start at 1", num.line, num.column)
-        self.expect("]")
-        return self.finish_prefix(action, ident)
+    def parse_atom(self) -> Term:
+        tok = self.next()
+        if tok.kind == "int" and tok.text == "0":
+            return NIL
+        if tok.kind == "[" and self.allow_hole:
+            self.next()
+            return HOLE
+        if tok.kind == "name" and tok.text != _RESERVED:
+            return Const(tok.text)
+        if tok.kind == "int":
+            message = f"a bare number other than 0 is not a process: {tok.text!r}"
+        elif tok.kind == "[":
+            message = "context hole '[]' is not allowed here"
+        elif tok.kind == "name":
+            message = "tau is not a process"
+        else:
+            message = f"expected a process, found {tok.text or 'end of input'!r}"
+        raise ParseError(message, tok.line, tok.column)
 
     def parse_bindings(self) -> list[tuple[_Token, Term]]:
         out: list[tuple[_Token, Term]] = []

@@ -386,17 +386,14 @@ def _check_cap(config: Term) -> None:
     such component is named."""
     if config.n_frozen <= INTERRUPT_CAP:
         return  # no component can exceed the cap
-    stack = [config]  # a loop, not recursion: the spine may be arbitrarily wide
-    while stack:
-        config = stack.pop()
-        if config.n_frozen <= INTERRUPT_CAP:
-            continue
-        if not isinstance(config, Par):
+    # a loop, not recursion: the spine may be arbitrarily wide; pre-order
+    # meets the leftmost over-cap component first
+    for node in subterms(config, descend=lambda t: t.n_frozen > INTERRUPT_CAP):
+        if node.n_frozen > INTERRUPT_CAP and not isinstance(node, Par):
             raise CapExceeded(
-                f"component {format_term(config)} has {config.n_frozen} "
+                f"component {format_term(node)} has {node.n_frozen} "
                 f"running prefixes; interrupt enumeration is capped at {INTERRUPT_CAP}"
             )
-        stack += (config.right, config.left)  # the left one is checked first
 
 
 def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,

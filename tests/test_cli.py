@@ -168,8 +168,6 @@ WIDE = " | ".join(["a.0"] * 1000)
 # prints, but its derivation still recurses down the spine
 TOO_DEEP = {
     "wide": ("steps", WIDE),
-    "nested": ("check", "(" * 400 + "a.0" + ")" * 400),
-    "long": ("check", "a." * 2000 + "0"),
 }
 
 
@@ -183,6 +181,31 @@ def test_too_deep_input_exits_two_without_a_traceback(tmp_path, name):
     assert result.returncode == 2
     assert b"Traceback" not in result.stderr
     assert b"error: the input nests deeper than the nesting limit" in result.stderr
+
+
+CHAIN = "a." * 10_000 + "0"
+
+# deep input is parsed in a loop: each command with its exit code
+DEEP = {
+    "nested": ("(" * 10_000 + "a.0" + ")" * 10_000, [(["check"], 0)]),
+    "long": (CHAIN, [
+        (["check"], 0),
+        (["steps", "--from", CHAIN], 0),
+        (["lts", "--from", CHAIN], 0),  # truncated at the state bound
+        (["bisim", CHAIN, f"{CHAIN} + 0"], 2),  # unknown within the bounds
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_input_is_read_without_a_traceback(tmp_path, name):
+    text, commands = DEEP[name]
+    model = tmp_path / f"{name}.papc"
+    model.write_text(f"W := {text};")
+    for (command, *extra), code in commands:
+        result = run_process([command, str(model), *extra])
+        assert result.returncode == code, (command, result.stderr[-300:])
+        assert b"Traceback" not in result.stderr
 
 
 def test_a_wide_parallel_is_checked(tmp_path):

@@ -176,6 +176,14 @@ def test_a_space_deeper_than_the_game_is_exact_when_it_fits(max_states, outcome,
     assert (verdict.outcome, verdict.detail) == (outcome, detail)
 
 
+def test_a_space_derived_in_full_is_exact_beyond_max_states():
+    # the game's levels reach all 23 joint states within max_depth, so the
+    # fixpoint answers although the space is larger than max_states
+    p, q = parse_process("a.b.c.d.e.f.g.h.i.j.0 + 0"), parse_process("a.b.c.d.e.f.g.h.i.j.0")
+    verdict = bisimilar(p, q, EMPTY_DEFINITIONS, Bounds(max_states=10))
+    assert (verdict.outcome, verdict.detail) == (BISIMILAR, "exact over 23 joint states")
+
+
 # Runs bisimilar in a fresh interpreter and prints the verdict, the detail,
 # the witness and the explorer's discovery order.  Terms hash by address,
 # which changes from process to process, so any set order that reaches the
@@ -305,11 +313,11 @@ def test_engine_and_oracle_agree_on_random_pairs():
 
 
 def test_bounded_path_agrees_with_the_oracle():
-    # max_states=3 sends all but the smallest spaces down the depth-bounded
-    # path; a depth of one move per joint state is enough to split any
-    # inequivalent pair
+    # max_states=3 is smaller than most of these spaces, but a depth of one
+    # move per joint state derives each in full: an inequivalent pair is
+    # split, and an equivalent one is answered exact beyond max_states
     rng = random.Random(19)
-    outcomes = collections.Counter()
+    outcomes, beyond = collections.Counter(), 0
     while sum(outcomes.values()) < 200:
         p = random_process(rng, 2, constants=False)
         q = random_process(rng, 2, constants=False)
@@ -328,7 +336,8 @@ def test_bounded_path_agrees_with_the_oracle():
             assert verify_witness(p, q, verdict.witness, EMPTY_DEFINITIONS), pair
             assert verdict.detail == f"distinguished at game depth {len(verdict.witness)}"
         outcomes[verdict.detail.split()[0]] += 1
-    assert outcomes["distinguished"] > 100 and outcomes["joint"] + outcomes["game"] > 0
+        beyond += verdict.detail.startswith("exact over") and int(verdict.detail.split()[2]) > 3
+    assert outcomes["distinguished"] > 100 and beyond > 0
 
 
 def test_demanded_set_differences_distinguish():
@@ -483,7 +492,7 @@ def test_probe_rejects_inequivalent_pairs():
 # replicator pair run under three bounds that between them give every kind
 # of detail.  The digest changes only with an intended change of output.
 
-GOLDEN_DIGEST = "0038328d9267c0d6385c36ae2ac7b0e0acb8d0adcaa58aa529130a6618e0a48e"
+GOLDEN_DIGEST = "ca6fbe0651e4ab90ebb00c6c3325b57c294297ea311e248d67876b218fee6671"
 
 
 def test_verdicts_details_and_witnesses_match_the_golden_digest():

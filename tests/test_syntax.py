@@ -189,6 +189,77 @@ def test_parse_error_positions():
     assert (err.value.line, err.value.column) == (3, 9)
 
 
+# (reader, text, error class, message, line, column) for every place the
+# parser raises, as the recursive-descent parser reported them
+PARSE_ERRORS = [
+    ("process", "2", ParseError, "a bare number other than 0 is not a process: '2'", 1, 1),
+    ("process", "a.0 + 07", ParseError, "a bare number other than 0 is not a process: '07'", 1, 7),
+    ("process", "a.[]", ParseError, "context hole '[]' is not allowed here", 1, 3),
+    ("process", "tau", ParseError, "tau is not a process", 1, 1),
+    ("process", "a.0 | tau", ParseError, "tau is not a process", 1, 7),
+    ("process", "tau.0", TauInPrefix, "tau cannot be used as a prefix action", 1, 1),
+    ("process", "a.~tau:0", TauInPrefix, "tau cannot be used as a prefix action", 1, 4),
+    ("process", "[tau#1].0", TauInPrefix, "tau cannot be used as a prefix action", 1, 2),
+    ("process", "[a#0].0", ParseError, "running-action identifiers start at 1", 1, 4),
+    ("process", "~a 0", ParseError, "an action must be followed by '.' or ':'", 1, 4),
+    ("process", "a.~b", ParseError, "an action must be followed by '.' or ':'", 1, 5),
+    ("process", "[a#1] 0", ParseError, "a running prefix must be followed by '.' or ':'", 1, 7),
+    ("process", "[a#1]", ParseError, "a running prefix must be followed by '.' or ':'", 1, 6),
+    ("process", "[a 1].0", ParseError, "expected '#', found '1'", 1, 4),
+    ("process", "[a#].0", ParseError, "expected 'int', found ']'", 1, 4),
+    ("process", "[a#1.0", ParseError, "expected ']', found '.'", 1, 5),
+    ("process", "~(a.0)", ParseError, "expected 'name', found '('", 1, 2),
+    ("process", "(a.0 | b.0", ParseError, "expected ')', found 'end of input'", 1, 11),
+    ("process", "((a.0)\n + (b.0 X", ParseError, "expected ')', found 'X'", 2, 9),
+    ("process", "a.0)", ParseError, "expected 'eof', found ')'", 1, 4),
+    ("process", "(a.0))", ParseError, "expected 'eof', found ')'", 1, 6),
+    ("process", "a.0 +", ParseError, "expected a process, found 'end of input'", 1, 6),
+    ("process", "a.0 |\n  ", ParseError, "expected a process, found 'end of input'", 2, 3),
+    ("process", "a.0 + | b.0", ParseError, "expected a process, found '|'", 1, 7),
+    ("process", "a.0 b.0", ParseError, "expected 'eof', found 'b'", 1, 5),
+    ("process", "a.b.[c#1].0", ParseError, "a prefix continuation must be a plain process, "
+     "but [c#1].0 contains running prefixes", 1, 4),
+    ("process", "a:\n  b.[c#1]:0 | d.0", ParseError, "a prefix continuation must be a plain "
+     "process, but [c#1]:0 contains running prefixes", 2, 4),
+    ("process", "a.([b#1].0 | c.0)", ParseError, "a prefix continuation must be a plain "
+     "process, but [b#1].0 | c.0 contains running prefixes", 1, 2),
+    ("process", "[a#1].(b.0 + ([c#2].0))", ParseError, "a prefix continuation must be a plain "
+     "process, but b.0 + [c#2].0 contains running prefixes", 1, 6),
+    ("process", "a.(b.[c#1].0 + d.(\n", ParseError, "a prefix continuation must be a plain "
+     "process, but [c#1].0 contains running prefixes", 1, 5),
+    ("context", "a.[] | ([b#1].0", ParseError, "expected ')', found 'end of input'", 1, 16),
+    ("model", "X := (a.0;", ParseError, "expected ')', found ';'", 1, 10),
+    ("model", "X := a.0 | ;", ParseError, "expected a process, found ';'", 1, 12),
+    ("model", "X := a.b.[c#1].0;", ParseError, "a prefix continuation must be a plain "
+     "process, but [c#1].0 contains running prefixes", 1, 9),
+    ("model", "system := a.0 + ;", ParseError, "expected a process, found ';'", 1, 17),
+]
+READERS = {"process": parse_process, "context": parse_context, "model": parse_model}
+
+
+@pytest.mark.parametrize("reader, text, error, message, line, column", PARSE_ERRORS)
+def test_parse_errors_keep_their_class_message_and_position(reader, text, error, message,
+                                                            line, column):
+    with pytest.raises(ParseError) as err:
+        READERS[reader](text)
+    assert type(err.value) is error
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_any_depth_parses_at_the_default_recursion_limit():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    assert parse_process("(" * depth + "a.0 | b.0" + ")" * depth) is Par(
+        PrefixConsume(A, NIL), PrefixConsume(B, NIL))
+    chain = NIL
+    for i in range(depth):
+        chain = (PrefixConsume, PrefixConserve)[i % 2](A, chain)
+    text = "".join(("a.", "a:")[i % 2] for i in reversed(range(depth))) + "0"
+    assert parse_process(text) is chain
+    assert parse_model(f"system := ({text});")[1] is chain
+
+
 @pytest.mark.parametrize("bad", ["", "5", "~a", "[a#0].0", "(a.0", "a..0", "[]", "tau",
                                  "[a#²].0", "[a#١].0"])
 def test_rejected_inputs(bad):
@@ -260,7 +331,7 @@ def reference_text(term, min_prec=0):
 
 @contextlib.contextmanager
 def recursion_limit(limit):
-    # the reference printer and the prefix parser recurse once per level
+    # the reference printer recurses once per level
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -308,7 +379,7 @@ def test_chains_print_as_the_reference_and_reparse(name):
     printed = format_term(term)  # iterative: within the default limit
     with recursion_limit(10_000):
         assert printed == reference_text(term)
-        assert parse_process(printed) is term
+    assert parse_process(printed) is term
 
 
 @pytest.mark.parametrize("name", WIDE_TERMS)
