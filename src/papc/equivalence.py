@@ -370,13 +370,22 @@ def apply_context(context: Term, filler: Term) -> Term:
     carries running prefixes under a prefix, where only plain processes fit.
     """
     check_context(context)
-    return _fill(context, filler)
-
-
-def _fill(term: Term, filler: Term) -> Term:
-    if isinstance(term, Hole):
-        return filler
-    return term.rebuild([_fill(c, filler) for c in term.children()])
+    # Depth first down to the hole.  Each stack entry carries its trail, the
+    # linked (parent, child index, parent's trail) path up to the root; only
+    # the nodes on the hole's trail are rebuilt, from the bottom up, so any
+    # depth and width costs no Python frames.
+    stack: list[tuple[Term, Optional[tuple]]] = [(context, None)]
+    while True:
+        node, trail = stack.pop()
+        if isinstance(node, Hole):
+            break
+        stack.extend((child, (node, i, trail)) for i, child in enumerate(node.children()))
+    while trail is not None:
+        node, i, trail = trail
+        children = list(node.children())
+        children[i] = filler
+        filler = node.rebuild(children)
+    return filler
 
 
 def random_context(rng: random.Random, alphabet: Sequence[str], max_depth: int = 3) -> Term:

@@ -17,11 +17,20 @@ Grammar, loosest to tightest (both binary operators associate right):
 ``#`` starts a line comment everywhere except between the brackets of a
 frozen prefix, where it separates the action from its identifier.
 Definitions files are sequences of ``Name := par ;`` with ``tau`` reserved.
+
+Tokens are plain tuples ``(kind, text, line, column)``.  The lexer tests a
+character against the common cases first (space, then punctuation, then
+names and digits) and takes a column from the character's index in the
+text, so a character costs one branch and a token one tuple.  The token
+list ends in two ``eof`` tokens, so the parser's one token of lookahead
+past the current one reads ``tokens[pos + 1]`` with no bounds check.  The
+parse loop indexes the list itself rather than through peek and next
+helpers: a token costs about one list read.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import DuplicateDefinition, IllFormedPlacement, ParseError, TauInPrefix
 from .syntax import (
@@ -38,7 +47,6 @@ from .syntax import (
     Sum,
     Term,
     check_context,
-    is_process,
 )
 
 __all__ = ["parse_process", "parse_context", "parse_definitions", "parse_model"]
@@ -49,214 +57,198 @@ _RESERVED = "tau"
 _PREFIX_NODES = {".": (PrefixConsume, FrozenConsume), ":": (PrefixConserve, FrozenConserve)}
 # the binding and the node of each binary operator
 _OPERATORS = {"|": (1, Par), "+": (2, Sum)}
+_NO_OPERATOR = (0, None)
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+# The kind of a punctuation token is its own text; the other kinds are
+# "name", "int", ":=" and "eof".
+_Token = tuple[str, str, int, int]
+_PUNCTUATION = frozenset(".:+|()[]#~;")
 
 
 def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text``, then two ``eof`` tokens."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
+    append = tokens.append
+    line, base = 1, -1  # a character's column is its index minus base
+    i, n = 0, len(text)
     in_brackets = False
-    n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+        if ch == " ":
             i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" and not in_brackets:
-            while i < n and text[i] != "\n":
+        elif ch in _PUNCTUATION:
+            if ch == "#" and not in_brackets:  # a comment, up to the end of the line
+                end = text.find("\n", i)
+                if end < 0:  # the end of input is reported at the '#'
+                    break
+                i = end
+            elif ch == ":" and text.startswith("=", i + 1):
+                append((":=", ":=", line, i - base))
+                i += 2
+            else:
+                if ch == "[":
+                    in_brackets = True
+                elif ch == "]":
+                    in_brackets = False
+                append((ch, ch, line, i - base))
                 i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
+            append(("name", text[i:j], line, i - base))
             i = j
-            continue
-        if "0" <= ch <= "9":  # ASCII only: int() rejects some str.isdigit() digits
-            j = i
+        elif "0" <= ch <= "9":  # ASCII only: int() rejects some str.isdigit() digits
+            j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
+            append(("int", text[i:j], line, i - base))
             i = j
-            continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(_Token(":=", ":=", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ".:+|()[]#~;":
-            if ch == "[":
-                in_brackets = True
-            elif ch == "]":
-                in_brackets = False
-            tokens.append(_Token(ch, ch, line, start_col))
+        elif ch == "\n":
+            line, base = line + 1, i
             i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+        elif ch == "\t" or ch == "\r":
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, i - base)
+    tokens += [("eof", "", line, i - base)] * 2
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, allow_hole: bool = False):
-        self.tokens = _lex(text)
-        self.pos = 0
-        self.allow_hole = allow_hole
+def _expect(tokens: list[_Token], pos: int, kind: str) -> _Token:
+    tok = tokens[pos]
+    if tok[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
+    return tok
 
-    # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+def _not_a_process(tok: _Token) -> ParseError:
+    kind, text, line, column = tok
+    if kind == "int":
+        message = f"a bare number other than 0 is not a process: {text!r}"
+    elif kind == "[":
+        message = "context hole '[]' is not allowed here"
+    elif kind == "name":
+        message = "tau is not a process"
+    else:
+        message = f"expected a process, found {text or 'end of input'!r}"
+    return ParseError(message, line, column)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
-        return self.next()
+def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, int]:
+    """The process that starts at ``tokens[pos]``, and the position after it.
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
-
-    # -- grammar
-
-    def parse_par(self) -> Term:
-        """A process, read in one loop over an explicit operator stack so
-        that neither nesting nor width costs Python frames.  Each entry
-        waits for the operand to its right: a '(' (binding 0), a '|' (1) or
-        a '+' (2) over its left operand, or a prefix (3) with its separator
-        token.  An operator applies the entries that bind tighter than it,
-        so both binary operators nest to the right; a ')' or any other
-        token applies all of them down to the nearest '('."""
-        stack: list[tuple[int, Optional[type], tuple, _Token]] = []
-        while True:
-            kind, after = self.peek().kind, self.peek(1).kind
-            if kind == "(":
-                stack.append((0, None, (), self.next()))
-                continue
-            if kind == "~" or kind == "[" and after != "]" or kind == "name" and after in _PREFIX_NODES:
-                stack.append(self.prefix_entry())
-                continue
-            term = self.parse_atom()
-            while True:
-                tok = self.peek()
-                binding, node = _OPERATORS.get(tok.kind, (0, None))
-                while stack and stack[-1][0] > binding:
-                    _, apply, fields, at = stack.pop()
-                    try:
-                        term = apply(*fields, term)
-                    except IllFormedPlacement as exc:
-                        raise ParseError(str(exc), at.line, at.column) from None
-                if node is not None:
-                    stack.append((binding, node, (term,), self.next()))
-                    break
-                if not stack:
-                    return term
-                self.expect(")")
-                stack.pop()
-
-    def parse_action(self) -> Action:
-        complemented = False
-        if self.peek().kind == "~":
-            self.next()
-            complemented = True
-        tok = self.expect("name")
-        if tok.text == _RESERVED:
-            raise TauInPrefix("tau cannot be used as a prefix action",
-                              tok.line, tok.column)
-        return Action(tok.text, complemented)
-
-    def prefix_entry(self) -> tuple[int, type, tuple, _Token]:
-        """The stack entry of the prefix here: an action, or the
-        ``[action#ident]`` of a running prefix, and the separator after it."""
-        running = self.peek().kind == "["
-        if running:
-            self.next()
-        fields: tuple = (self.parse_action(),)
-        if running:
-            self.expect("#")
-            num = self.expect("int")
-            fields += (int(num.text),)
-            if fields[1] < 1:
-                raise ParseError("running-action identifiers start at 1", num.line, num.column)
-            self.expect("]")
-        tok = self.peek()
-        if tok.kind not in _PREFIX_NODES:
-            what = "a running prefix" if running else "an action"
-            raise self.fail(f"{what} must be followed by '.' or ':'")
-        return 3, _PREFIX_NODES[tok.kind][running], fields, self.next()
-
-    def parse_atom(self) -> Term:
-        tok = self.next()
-        if tok.kind == "int" and tok.text == "0":
-            return NIL
-        if tok.kind == "[" and self.allow_hole:
-            self.next()
-            return HOLE
-        if tok.kind == "name" and tok.text != _RESERVED:
-            return Const(tok.text)
-        if tok.kind == "int":
-            message = f"a bare number other than 0 is not a process: {tok.text!r}"
-        elif tok.kind == "[":
-            message = "context hole '[]' is not allowed here"
-        elif tok.kind == "name":
-            message = "tau is not a process"
+    One loop over an explicit operator stack, so that neither nesting nor
+    width costs Python frames.  Each entry waits for the operand to its
+    right: a '(' (binding 0), a '|' (1) or a '+' (2) over its left operand,
+    or a prefix (3) with its separator token.  An operator applies the
+    entries that bind tighter than it, so both binary operators nest to the
+    right; a ')' or any other token applies all of them down to the nearest
+    '('.  The token after the current one decides between a constant and an
+    action, and between a hole and a running prefix."""
+    stack: list[tuple[int, Optional[type], tuple, _Token]] = []
+    while True:
+        tok = tokens[pos]
+        kind = tok[0]
+        if kind == "(":
+            stack.append((0, None, (), tok))
+            pos += 1
+            continue
+        after = tokens[pos + 1][0]
+        running = kind == "[" and after != "]"
+        if running or kind == "~" or kind == "name" and after in _PREFIX_NODES:
+            # an action, or the [action#ident] of a running prefix, then the separator
+            if running:
+                pos += 1
+                tok = tokens[pos]
+            complemented = tok[0] == "~"
+            if complemented:
+                pos += 1
+                tok = tokens[pos]
+            _expect(tokens, pos, "name")
+            if tok[1] == _RESERVED:
+                raise TauInPrefix("tau cannot be used as a prefix action", tok[2], tok[3])
+            fields: tuple = (Action(tok[1], complemented),)
+            pos += 1
+            if running:
+                _expect(tokens, pos, "#")
+                num = _expect(tokens, pos + 1, "int")
+                ident = int(num[1])
+                if ident < 1:
+                    raise ParseError("running-action identifiers start at 1", num[2], num[3])
+                _expect(tokens, pos + 2, "]")
+                fields += (ident,)
+                pos += 3
+            tok = tokens[pos]
+            nodes = _PREFIX_NODES.get(tok[0])
+            if nodes is None:
+                what = "a running prefix" if running else "an action"
+                raise ParseError(f"{what} must be followed by '.' or ':'", tok[2], tok[3])
+            stack.append((3, nodes[running], fields, tok))
+            pos += 1
+            continue
+        if kind == "name" and tok[1] != _RESERVED:
+            term = Const(tok[1])
+        elif kind == "int" and tok[1] == "0":
+            term = NIL
+        elif kind == "[" and allow_hole:
+            term = HOLE
+            pos += 1
         else:
-            message = f"expected a process, found {tok.text or 'end of input'!r}"
-        raise ParseError(message, tok.line, tok.column)
+            raise _not_a_process(tok)
+        pos += 1
+        while True:
+            tok = tokens[pos]
+            binding, node = _OPERATORS.get(tok[0], _NO_OPERATOR)
+            while stack and stack[-1][0] > binding:
+                _, apply, fields, at = stack.pop()
+                try:
+                    term = apply(*fields, term)
+                except IllFormedPlacement as exc:
+                    raise ParseError(str(exc), at[2], at[3]) from None
+            if node is not None:
+                stack.append((binding, node, (term,), tok))
+                pos += 1
+                break
+            if not stack:
+                return term, pos
+            _expect(tokens, pos, ")")
+            stack.pop()
+            pos += 1
 
-    def parse_bindings(self) -> list[tuple[_Token, Term]]:
-        out: list[tuple[_Token, Term]] = []
-        while self.peek().kind != "eof":
-            name = self.expect("name")
-            if name.text == _RESERVED:
-                raise ParseError("'tau' is reserved and cannot be defined",
-                                 name.line, name.column)
-            self.expect(":=")
-            body = self.parse_par()
-            self.expect(";")
-            out.append((name, body))
-        return out
+
+def _parse_bindings(text: str) -> list[tuple[_Token, Term]]:
+    tokens = _lex(text)
+    pos = 0
+    out: list[tuple[_Token, Term]] = []
+    while tokens[pos][0] != "eof":
+        name = _expect(tokens, pos, "name")
+        if name[1] == _RESERVED:
+            raise ParseError("'tau' is reserved and cannot be defined", name[2], name[3])
+        _expect(tokens, pos + 1, ":=")
+        body, pos = _parse_par(tokens, pos + 2, False)
+        _expect(tokens, pos, ";")
+        pos += 1
+        out.append((name, body))
+    return out
+
+
+def _parse_term(text: str, allow_hole: bool) -> Term:
+    tokens = _lex(text)
+    term, pos = _parse_par(tokens, 0, allow_hole)
+    _expect(tokens, pos, "eof")
+    return term
 
 
 def parse_process(text: str) -> Term:
     """Parse a configuration (plain processes included) from its text form."""
-    parser = _Parser(text)
-    term = parser.parse_par()
-    parser.expect("eof")
-    return term
+    return _parse_term(text, False)
 
 
 def parse_context(text: str) -> Term:
     """Parse a process-shaped term containing exactly one hole ``[]``."""
-    parser = _Parser(text, allow_hole=True)
-    term = parser.parse_par()
-    parser.expect("eof")
+    term = _parse_term(text, True)
     check_context(term)
     return term
 
@@ -267,20 +259,17 @@ def _parse_equations(text: str, root_name: Optional[str]) -> tuple[Definitions, 
     be a plain process, and no name may be bound twice."""
     bindings: dict[str, Term] = {}
     root: Optional[Term] = None
-    for name, body in _Parser(text).parse_bindings():
-        if name.text == root_name:
+    for (_, name, line, column), body in _parse_bindings(text):
+        if name == root_name:
             if root is not None:
                 raise DuplicateDefinition(f"the model declares {root_name!r} twice")
             root = body
             continue
-        if name.text in bindings:
-            raise DuplicateDefinition(f"constant {name.text!r} is defined twice")
-        if not is_process(body):
-            raise ParseError(
-                f"definition body of {name.text!r} must be a plain process",
-                name.line, name.column,
-            )
-        bindings[name.text] = body
+        if name in bindings:
+            raise DuplicateDefinition(f"constant {name!r} is defined twice")
+        if body.ids:  # no hole parses here, so only running prefixes make it no plain process
+            raise ParseError(f"definition body of {name!r} must be a plain process", line, column)
+        bindings[name] = body
     return Definitions(bindings), root
 
 

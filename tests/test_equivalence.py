@@ -433,6 +433,21 @@ def test_apply_context_parallel():
     assert format_term(apply_context(ctx, parse_process("a.0"))) == "a.0 | ~a.0"
 
 
+@pytest.mark.parametrize("repeat", ["a.", "a.0 | "], ids=["deep", "wide"])
+def test_apply_context_fills_any_depth_at_the_default_recursion_limit(repeat):
+    text = repeat * 10_000
+    assert sys.getrecursionlimit() < 10_000
+    filled = apply_context(parse_context(text + "[]"), parse_process("b.0"))
+    assert filled is parse_process(text + "b.0")
+
+
+def test_apply_context_rebuilds_only_the_path_to_the_hole():
+    ctx = parse_context("(a.0 | [] + c.0) | ~a.0")
+    filled = apply_context(ctx, parse_process("b.0"))
+    assert filled is parse_process("(a.0 | b.0 + c.0) | ~a.0")
+    assert filled.left.left is ctx.left.left and filled.right is ctx.right
+
+
 def test_apply_context_rejects_frozen_under_prefix():
     ctx = parse_context("c.[]")
     with pytest.raises(IllFormedPlacement):

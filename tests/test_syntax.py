@@ -217,6 +217,14 @@ PARSE_ERRORS = [
     ("process", "a.0 |\n  ", ParseError, "expected a process, found 'end of input'", 2, 3),
     ("process", "a.0 + | b.0", ParseError, "expected a process, found '|'", 1, 7),
     ("process", "a.0 b.0", ParseError, "expected 'eof', found 'b'", 1, 5),
+    # columns count tabs and '\r' as one character each; the end of input
+    # after a trailing comment is reported at its '#'
+    ("process", "a.0 +  # tail", ParseError, "expected a process, found 'end of input'", 1, 8),
+    ("process", "a.0 +\t|", ParseError, "expected a process, found '|'", 1, 7),
+    ("process", "a.0 |\r\n  +", ParseError, "expected a process, found '+'", 2, 3),
+    ("process", "# c\na.0 b.0", ParseError, "expected 'eof', found 'b'", 2, 5),
+    ("process", "a.0 | ²", ParseError, "unexpected character '²'", 1, 7),
+    ("process", "a.0 | @", ParseError, "unexpected character '@'", 1, 7),
     ("process", "a.b.[c#1].0", ParseError, "a prefix continuation must be a plain process, "
      "but [c#1].0 contains running prefixes", 1, 4),
     ("process", "a:\n  b.[c#1]:0 | d.0", ParseError, "a prefix continuation must be a plain "
@@ -233,6 +241,7 @@ PARSE_ERRORS = [
     ("model", "X := a.b.[c#1].0;", ParseError, "a prefix continuation must be a plain "
      "process, but [c#1].0 contains running prefixes", 1, 9),
     ("model", "system := a.0 + ;", ParseError, "expected a process, found ';'", 1, 17),
+    ("model", "X := a.0 : = b.0;", ParseError, "unexpected character '='", 1, 12),
 ]
 READERS = {"process": parse_process, "context": parse_context, "model": parse_model}
 
@@ -258,6 +267,23 @@ def test_any_depth_parses_at_the_default_recursion_limit():
     text = "".join(("a.", "a:")[i % 2] for i in reversed(range(depth))) + "0"
     assert parse_process(text) is chain
     assert parse_model(f"system := ({text});")[1] is chain
+
+
+# whole units for the layout test below: a running prefix's [action#ident],
+# where '#' is no comment, an action or name, or one character
+_UNITS = re.compile(r"\[~?\w+#\d+\]|~?\w+|\S")
+_LAYOUT = st.lists(st.one_of(
+    st.sampled_from([" ", "\t", "\r\n", "\n"]),
+    st.text(st.characters(blacklist_characters="\n"), max_size=6).map("#{}\n".format),
+), max_size=3).map("".join)
+
+
+@given(strategies.configurations, st.data())
+def test_layout_between_tokens_leaves_the_term_unchanged(term, data):
+    units = _UNITS.findall(format_term(term))
+    gaps = data.draw(st.lists(_LAYOUT, min_size=len(units), max_size=len(units)))
+    tail = data.draw(st.sampled_from(["", "# end", "\n"]))
+    assert parse_process("".join(gap + unit for gap, unit in zip(gaps, units)) + tail) is term
 
 
 @pytest.mark.parametrize("bad", ["", "5", "~a", "[a#0].0", "(a.0", "a..0", "[]", "tau",
