@@ -62,15 +62,19 @@ kept.  ``lts.build`` does this once its state bound is reached.  Such a
 derivation builds its targets with ``find`` and makes no node: a known
 state is alive and so are all its subterms, so a target that needs a node
 no one holds cannot be known, and it is carried as a stand-in instead.
-Renaming a stand-in looks its renamed form up again, which may be live and
-known.  The counts stay exact: equal steps merge as keys of insertion-ordered
-dicts (the interrupt fan-out never yields two equal steps, see
-``_interrupts``), and a stand-in equals exactly the stand-ins of the same
-term.
+A node over a stand-in is a stand-in too, made with no lookup, and no
+stand-in is tested against ``known``.  Renaming a stand-in looks its renamed
+form up again, which may be live and known.  The counts stay exact: equal
+steps merge as keys of insertion-ordered dicts (the interrupt fan-out never
+yields two equal steps, see ``_interrupts``), and a stand-in equals exactly
+the stand-ins of the same term.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
-differ in arity, so never compare equal.  Each label prints and orders itself.
+differ in arity, so never compare equal.  Equal H, I and CP labels are one
+object from a bounded table (``_shared_labels``) that prints and orders each
+once.  CC labels hold their continuation, so they are never shared and print
+and order at every call.
 """
 
 from __future__ import annotations
@@ -222,12 +226,23 @@ def _action_key(action: Action) -> tuple:
 
 def label_text(label: Label) -> str:
     """Deterministic one-line serialization used by exports and the CLI."""
-    return label._show()
+    entry = _shared_labels.get(label)
+    if entry is None:  # a CC label, or one not in the table
+        return label._show()
+    if entry[1] is None:
+        entry[1] = label._show()
+    return entry[1]
 
 
 def transition_sort_key(t: Transition) -> tuple:
     """Relation first, then the label's fields, then the printed target."""
-    return (t.label._key(), format_term(t.target))
+    label = t.label
+    entry = _shared_labels.get(label)
+    if entry is None:
+        return (label._key(), format_term(t.target))
+    if entry[2] is None:
+        entry[2] = label._key()
+    return (entry[2], format_term(t.target))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +393,24 @@ def _shared(ids: frozenset[int]) -> frozenset[int]:
             _shared_sets[_EMPTY] = _EMPTY  # every empty set stays the one _EMPTY
         found = _shared_sets[ids] = ids
     return found
+
+
+# Equal H, I and CP labels are one object too: ``_transitions`` takes them from
+# a table bounded the same way, keyed by the label, which equals the plain
+# tuple of its fields.  Each entry is ``[label, text, sort key]``, the last two
+# computed on first use, so a label prints and orders once while it stays in
+# the table.  CC labels never enter it: they hold their continuation, which the
+# table would keep alive; H, I and CP labels hold identifiers, actions and sets.
+_shared_labels: dict[Label, list] = {}
+
+
+def _new_label(label_class: type, fields: tuple) -> list:
+    # on a miss: the entry of a new label, in a table emptied first when full
+    if len(_shared_labels) >= _SHARED_CAP:
+        _shared_labels.clear()
+    label = tuple.__new__(label_class, fields)
+    entry = _shared_labels[label] = [label, None, None]
+    return entry
 
 
 def _check_cap(config: Term) -> None:
@@ -555,13 +588,23 @@ def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
 def _transitions(source: Term, label_class: type, steps: Collection[tuple],
                  known: Known = None) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
-    # With ``known``, a step into another target is counted by a trailing None.
+    # With ``known``, a step into another target is counted by a trailing None;
+    # a stand-in is never looked up there, as every known target is live.
     # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
     # label class or Transition overrides it: this builds the same values in C.
-    kept = steps if known is None else [step for step in steps if step[-1] in known]
+    kept = steps if known is None else [step for step in steps
+                                        if type(step[-1]) is not tuple and step[-1] in known]
+    if not kept:
+        return (None,) * len(steps)
     new = tuple.__new__
-    transitions = [new(Transition, (source, new(label_class, step[:-1]), step[-1]))
-                   for step in kept]
+    if label_class is CompleteConservative:  # never shared, see _shared_labels
+        transitions = [new(Transition, (source, new(label_class, step[:-1]), step[-1]))
+                       for step in kept]
+    else:
+        get = _shared_labels.get
+        transitions = [
+            new(Transition, (source, (get(step[:-1]) or _new_label(label_class, step[:-1]))[0], step[-1]))
+            for step in kept]
     return tuple(transitions) + (None,) * (len(steps) - len(kept))
 
 

@@ -88,7 +88,9 @@ __all__ = [
 # ``find`` is the lookup half alone: where no value is live it returns the key
 # itself as a *stand-in*, which builds nothing.  A stand-in equals the
 # stand-ins of the same value and no live value; a subterm of a live term is
-# never one, and until a value is made no stand-in's value comes alive.
+# never one, and until a value is made no stand-in's value comes alive.  So a
+# node with a stand-in child is never live, and ``find`` on a ``Sum`` or
+# ``Par`` returns its stand-in without looking anything up.
 #
 # A constructor is ``__new__`` itself: lookup, ``_made`` count and entry in one
 # frame, and ``_init`` to check and set the fields.  ``Sum`` and ``Par``, most
@@ -405,6 +407,15 @@ class _Binary(Term):
         ref = _TABLE[key] = _Ref(value, _forget)
         ref.key = key
         return value
+
+    @classmethod
+    def find(cls, left, right):
+        """``_Interned.find``; a node with a stand-in child is one itself."""
+        key = (cls, left, right)
+        if type(left) is tuple or type(right) is tuple:
+            return key  # the children of a live node are live: no lookup
+        ref = _TABLE.get(key)
+        return ref and ref() or key
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)

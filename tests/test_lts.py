@@ -167,6 +167,54 @@ def test_the_cell_model_past_its_state_bound_matches_the_golden_digests(mode):
         assert hashlib.sha256(export(lts, fmt)).hexdigest() == digest
 
 
+class _CountingTable(dict):
+    """The term table, counting its lookups and those of a node with a
+    stand-in (a plain tuple) among its fields."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.lookups = self.stand_in_lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        self.stand_in_lookups += any(type(field) is tuple for field in key)
+        return super().get(key, default)
+
+
+class _CountingKnown(set):
+    def __init__(self, items):
+        super().__init__(items)
+        self.stand_in_tests = 0
+
+    def __contains__(self, item):
+        self.stand_in_tests += type(item) is tuple
+        return super().__contains__(item)
+
+
+@pytest.mark.parametrize("mode", ["all", "system"])
+def test_a_build_past_its_bound_looks_up_no_node_with_a_stand_in_child(mode):
+    # a node with a stand-in child is never live, and a stand-in is never a
+    # known target, so neither is looked up
+    model = load_model(str(CELL_MODEL))
+    bounds = Bounds(max_states=40, step_mode=mode)
+    derive = system_steps if mode == "system" else all_steps
+    original = syntax._TABLE
+    table = _CountingTable(original)
+    syntax._TABLE, syntax._forget.__defaults__ = table, (table,)
+    try:
+        lts = build(model.root, model.definitions, bounds)
+        known = _CountingKnown(lts.states)
+        dropped = sum(derive(state, model.definitions, None, known).count(None)
+                      for state in lts.states)
+    finally:
+        original.clear()
+        original.update(table)
+        syntax._TABLE, syntax._forget.__defaults__ = original, (original,)
+    assert len(lts.states) == 40 and lts.truncated and dropped
+    assert table.lookups and table.stand_in_lookups == 0
+    assert known.stand_in_tests == 0
+
+
 def test_a_build_keeps_no_term_alive_once_dropped():
     # the derivation memo lives for one build call only; names no other
     # test uses, so no term of this build was alive before it

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import strategies
 from gen import random_configuration
 from papc import semantics, syntax
 from papc.errors import CapExceeded, IdentifierCollision, PapcError, UnguardedRecursion
-from papc.lts import Bounds, build
+from papc.lts import Bounds, build, export
 from papc.parsing import parse_definitions, parse_process
 from papc.semantics import (
     CompleteConservative,
@@ -201,6 +202,53 @@ def test_the_shared_set_table_stays_within_its_cap(monkeypatch):
     assert semantics._shared_sets[frozenset()] is semantics._EMPTY  # entered again on a clear
     semantics._shared_sets.clear()
     assert interrupt_steps(wide) == steps
+
+
+_RELATIONS = (handshake_steps, interrupt_steps, preemptive_completions, conservative_completions)
+
+
+def _printed_and_ordered_as_uncached(t):
+    # the reference: each label prints and orders itself, at every call
+    return (label_text(t.label) == t.label._show()
+            and transition_sort_key(t) == (t.label._key(), format_term(t.target)))
+
+
+@given(strategies.configurations)
+def test_shared_labels_print_order_and_compare_as_fresh_ones(config):
+    # each relation alone, then all four again through a memo: two
+    # derivations, on a table that starts empty
+    semantics._shared_labels.clear()
+    first = [t for derive in _RELATIONS for t in derive(config, DEFS)]
+    assert all(_printed_and_ordered_as_uncached(t) for t in first)
+    again = all_steps(config, DEFS, {})
+    assert again == tuple(first)
+    assert all(_printed_and_ordered_as_uncached(t) for t in again)
+    if len({t.label for t in first}) < semantics._SHARED_CAP:  # no clear in between
+        assert all(a.label is b.label for a, b in zip(first, again)
+                   if not isinstance(a.label, CompleteConservative))
+
+
+def test_a_conservative_label_keeps_its_continuation_no_longer_than_its_transitions():
+    config = parse_process("[g#1]:(zq.0 | ~zq.0) | [a#2].0")
+    continuation = weakref.ref(config.left.cont)
+    steps = [*conservative_completions(config), *all_steps(config, DEFS, {})]
+    assert any(isinstance(t.label, CompleteConservative) for t in steps)
+    assert all(_printed_and_ordered_as_uncached(t) for t in steps)
+    lts = build(config, DEFS, Bounds(max_states=5))
+    export(lts, "aut")  # prints every edge's label
+    del config, steps, lts
+    gc.collect()
+    assert continuation() is None
+
+
+def test_the_label_table_stays_within_its_cap_under_a_wide_fan_out():
+    # 2^12 distinct interrupt labels at the root, more than the cap
+    wide = parse_process(" | ".join(f"[a#{i}].0" for i in range(1, 13)))
+    steps = interrupt_steps(wide)
+    assert len({t.label for t in steps}) == 2 ** 12 > semantics._SHARED_CAP
+    assert len(semantics._shared_labels) <= semantics._SHARED_CAP
+    assert all(_printed_and_ordered_as_uncached(t) for t in steps)
+    assert len(semantics._shared_labels) <= semantics._SHARED_CAP
 
 
 @pytest.mark.parametrize("derive", [preemptive_completions, conservative_completions])
