@@ -89,8 +89,8 @@ def cmd_check(args, out: TextIO) -> int:
 def cmd_steps(args, out: TextIO) -> int:
     model = load_model(args.model)
     config = _resolve_root(model, args.from_text)
-    for t in sorted(_steps_for(args.mode)(config, model.definitions), key=transition_sort_key):
-        print(f"{label_text(t.label)} -> {format_term(t.target)}", file=out)
+    steps = sorted(_steps_for(args.mode)(config, model.definitions), key=transition_sort_key)
+    out.write("".join(f"{label_text(t.label)} -> {format_term(t.target)}\n" for t in steps))
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ helpers: a token costs about one list read.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DuplicateDefinition, IllFormedPlacement, ParseError, TauInPrefix
 from .syntax import (
@@ -53,10 +53,11 @@ __all__ = ["parse_process", "parse_context", "parse_definitions", "parse_model"]
 
 _RESERVED = "tau"
 
-# the idle and the running prefix node for each separator
-_PREFIX_NODES = {".": (PrefixConsume, FrozenConsume), ":": (PrefixConserve, FrozenConserve)}
-# the binding and the node of each binary operator
-_OPERATORS = {"|": (1, Par), "+": (2, Sum)}
+# the constructors of the idle and the running prefix for each separator
+_PREFIX_NODES = {".": (PrefixConsume.make, FrozenConsume.make),
+                 ":": (PrefixConserve.make, FrozenConserve.make)}
+# the binding and the node constructor of each binary operator
+_OPERATORS = {"|": (1, Par.make), "+": (2, Sum.make)}
 _NO_OPERATOR = (0, None)
 
 
@@ -147,7 +148,7 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
     right; a ')' or any other token applies all of them down to the nearest
     '('.  The token after the current one decides between a constant and an
     action, and between a hole and a running prefix."""
-    stack: list[tuple[int, Optional[type], tuple, _Token]] = []
+    stack: list[tuple[int, Optional[Callable[..., Term]], tuple, _Token]] = []
     while True:
         tok = tokens[pos]
         kind = tok[0]
@@ -169,7 +170,7 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
             _expect(tokens, pos, "name")
             if tok[1] == _RESERVED:
                 raise TauInPrefix("tau cannot be used as a prefix action", tok[2], tok[3])
-            fields: tuple = (Action(tok[1], complemented),)
+            fields: tuple = (Action.make(tok[1], complemented),)
             pos += 1
             if running:
                 _expect(tokens, pos, "#")
@@ -189,7 +190,7 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
             pos += 1
             continue
         if kind == "name" and tok[1] != _RESERVED:
-            term = Const(tok[1])
+            term = Const.make(tok[1])
         elif kind == "int" and tok[1] == "0":
             term = NIL
         elif kind == "[" and allow_hole:

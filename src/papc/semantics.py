@@ -281,11 +281,17 @@ def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Ter
     if old not in config.ids:
         return config
     node = type(config)
-    make = node.find if find else node
+    make = node.find if find else node.make
     if node in _IDLE:
         return make(config.action, new, config.cont)
-    # Sum or Par, the only other id holders; direct, as every start renames
-    return make(_rename(config.left, old, new, find), _rename(config.right, old, new, find))
+    # Sum or Par, the only other id holders; only a child holding ``old``
+    # changes, and both do where a coupled start shares it
+    left, right = config.left, config.right
+    if old in left.ids:
+        left = _rename(left, old, new, find)
+    if old in right.ids:
+        right = _rename(right, old, new, find)
+    return make(left, right)
 
 
 def fresh_id(used: Iterable[int]) -> int:
@@ -328,7 +334,7 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
     if started is not None:
         if system and config.action is not TAU:
             return ()
-        make = started.find if find else started
+        make = started.find if find else started.make
         return ((1, config.action, make(config.action, 1, config.cont)),)
     if not isinstance(config, (Sum, Par)):
         return ()  # inert and running prefixes
@@ -337,7 +343,7 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
     if memo is not None and (steps := memo.get(config)) is not None:
         return _tau(steps) if system else steps
     node = type(config)
-    make = node.find if find else node
+    make = node.find if find else node.make
     left, right = config.left, config.right
     fresh = fresh_id(config.ids)  # the least identifier unused in the composite
     out: dict[_HStep, None] = {}  # insertion-ordered, merging equal steps
@@ -438,12 +444,12 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
         return ((_EMPTY, config),)
     idle = _IDLE.get(type(config))
     if idle is not None:
-        make = idle.find if find else idle
+        make = idle.find if find else idle.make
         return ((config.ids, make(config.action, config.cont)), (_EMPTY, config))
     if memo is not None and (steps := memo.get(key := (config, allowed & config.ids))) is not None:
         return steps
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
-    make = node.find if find else node
+    make = node.find if find else node.make
     # a list: no two steps are equal.  Each choice rolls back its own subset
     # of the allowed prefixes, so one side's targets all differ, and ``make``
     # is injective (nodes are interned by their children, and a stand-in, the
@@ -488,12 +494,12 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
     if isinstance(config, FrozenConserve):
         if system:
             return (), ()
-        rearmed = (PrefixConserve.find if find else PrefixConserve)(config.action, config.cont)
+        rearmed = (PrefixConserve.find if find else PrefixConserve.make)(config.action, config.cont)
         return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
     if memo is not None and (found := memo.get(key := (outer & config.ids, config))) is not None:
         return (_tau(found[0]), ()) if system else found
     node = type(config)
-    make = node.find if find else node
+    make = node.find if find else node.make
     left, right = config.left, config.right
     cp: dict[_CPStep, None] = {}  # insertion-ordered, merging equal steps
     cc: dict[_CCStep, None] = {}

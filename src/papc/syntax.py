@@ -13,7 +13,8 @@ constructors enforce that.
 Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes and actions are
 immutable and hash-consed through one table: equal values are one interned
-object, so they compare and hash by identity.  Each node also keeps its
+object, so they compare and hash by identity; ``Sum.make(p, q)`` is
+``Sum(p, q)`` built without the class-call layer.  Each node also keeps its
 identifiers and its running-prefix count.  Printing goes by chains:
 a right-nested run of one binary operator (``a | b | c``), or a run of
 prefixes (``a.b:c.0``), prints in one pass, and only the chain's head keeps
@@ -92,9 +93,13 @@ __all__ = [
 # node with a stand-in child is never live, and ``find`` on a ``Sum`` or
 # ``Par`` returns its stand-in without looking anything up.
 #
-# A constructor is ``__new__`` itself: lookup, ``_made`` count and entry in one
-# frame, and ``_init`` to check and set the fields.  ``Sum`` and ``Par``, most
-# of the nodes a derivation builds, set theirs in ``_Binary.__new__``: one frame.
+# A constructor is ``__new__`` itself: lookup, ``_init`` to check and set the
+# fields, then the ``_made`` count and the entry, so a construction that raises
+# changes neither.  ``Sum`` and ``Par``, most of the nodes a derivation builds,
+# set theirs in ``_Binary.__new__``: one frame.  ``make`` is that ``__new__``
+# bound to its class: ``Sum.make(p, q) is Sum(p, q)`` without the class call's
+# ``type.__call__`` layer.  Derivation and parsing call it; class calls still
+# work everywhere else.
 
 
 class _Ref(weakref.ref):
@@ -120,13 +125,15 @@ class _Interned:
         ref = _TABLE.get(key)  # the live value under the key, else a new one
         if ref is not None and (value := ref()) is not None:
             return value
-        global _made
-        _made += 1
         value = object.__new__(cls)
         value._init(*fields)
+        global _made
+        _made += 1
         ref = _TABLE[key] = _Ref(value, _forget)
         ref.key = key
         return value
+
+    make = classmethod(__new__)
 
     @classmethod
     def find(cls, *fields):
@@ -157,6 +164,8 @@ class Action(_Interned):
 
     def __new__(cls, name: Optional[str], complemented: bool = False) -> Action:
         return super().__new__(cls, name, complemented)
+
+    make = classmethod(__new__)
 
     def _init(self, name: Optional[str], complemented: bool) -> None:
         if name is not None:
@@ -326,7 +335,7 @@ class _Idle(_Prefix):
     cont: Term
 
     def rebuild(self, children: Sequence[Term]) -> Term:
-        return type(self)(self.action, children[0])
+        return self.make(self.action, children[0])
 
     def _head(self) -> str:
         return f"{format_action(self.action)}{self._sep}"
@@ -347,7 +356,7 @@ class _Running(_Prefix):
         self.ids, self.n_frozen = frozenset((ident,)), 1
 
     def rebuild(self, children: Sequence[Term]) -> Term:
-        return type(self)(self.action, self.ident, children[0])
+        return self.make(self.action, self.ident, children[0])
 
     def _head(self) -> str:
         return f"[{format_action(self.action)}#{self.ident}]{self._sep}"
@@ -408,6 +417,8 @@ class _Binary(Term):
         ref.key = key
         return value
 
+    make = classmethod(__new__)
+
     @classmethod
     def find(cls, left, right):
         """``_Interned.find``; a node with a stand-in child is one itself."""
@@ -421,25 +432,33 @@ class _Binary(Term):
         return (self.left, self.right)
 
     def rebuild(self, children: Sequence[Term]) -> Term:
-        return type(self)(*children)
+        return self.make(*children)
 
     def _show(self) -> str | list[Term]:
-        # the left operands down the right-nested chain of this operator,
-        # then its tail: the first right operand of another kind or with text
-        operands, node, kind = [self.left], self.right, type(self)
-        while type(node) is kind and node._text is None:
-            operands.append(node.left)
+        # one pass down the right-nested chain of this operator: each left
+        # operand's text, parenthesized unless it binds tighter, or else the
+        # operands still to print; then the tail, the first right operand of
+        # another kind or with text, parenthesized only if it binds looser
+        kind, prec = type(self), self._prec
+        parts: list[str] = []
+        missing: list[Term] = []
+        node = self
+        while True:
+            left = node.left
+            text = left._text
+            if text is None:
+                missing.append(left)
+            else:
+                parts.append(text if left._prec > prec else f"({text})")
             node = node.right
-        operands.append(node)
-        for t in operands:
-            if t._text is None:
-                return [t for t in operands if t._text is None]
-        # _wrap inlined over a wide chain: a left operand is parenthesized
-        # unless it binds tighter, the tail only when it binds looser
-        prec = self._prec
-        parts = [t._text if t._prec > prec else f"({t._text})" for t in operands]
-        if node._prec == prec:
-            parts[-1] = node._text
+            if type(node) is not kind or node._text is not None:
+                break
+        text = node._text
+        if text is None:
+            missing.append(node)
+        if missing:
+            return missing
+        parts.append(text if node._prec >= prec else f"({text})")
         return self._op.join(parts)
 
 

@@ -245,6 +245,39 @@ def test_steps_match_the_engine_in_content_and_order():
         assert output.strip().splitlines() == want
 
 
+class _Writes(io.StringIO):
+    """A text stream that counts its writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("from_text", [None, " | ".join(["C | A | B"] * 16)])
+def test_steps_writes_the_per_line_listing_in_one_write(from_text):
+    from papc.cli import load_model
+
+    model = load_model(CELL)
+    config = model.root if from_text is None else parse_process(from_text)
+    want = io.StringIO()
+    for t in sorted(all_steps(config, model.definitions), key=transition_sort_key):
+        print(f"{label_text(t.label)} -> {format_term(t.target)}", file=want)
+    out = _Writes()
+    assert main(["steps", CELL, *(["--from", from_text] if from_text else [])], out=out) == 0
+    assert out.getvalue() == want.getvalue() and out.writes == 1
+
+
+def test_steps_with_no_transition_writes_nothing():
+    argv = ["steps", CELL, "--mode", "system", "--from", "a.0"]
+    assert run(argv) == (0, "")
+    result = run_process(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+
 def test_steps_of_inert_system_is_empty(tmp_path):
     model = tmp_path / "noop.papc"
     model.write_text("system := 0;")

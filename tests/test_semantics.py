@@ -12,7 +12,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import strategies
@@ -39,7 +39,17 @@ from papc.semantics import (
     system_steps,
     transition_sort_key,
 )
-from papc.syntax import NIL, Action, FrozenConsume, Par, PrefixConsume, TAU, Term, format_term
+from papc.syntax import (
+    NIL,
+    Action,
+    FrozenConserve,
+    FrozenConsume,
+    Par,
+    PrefixConsume,
+    TAU,
+    Term,
+    format_term,
+)
 
 DEFS = parse_definitions("C := a.(C | C) + g:P; A := ~a.(A | A); B := ~g:0;")
 
@@ -94,6 +104,33 @@ def test_rename_id_renames_coupled_sides():
 def test_rename_id_collision_rejected():
     with pytest.raises(IdentifierCollision):
         rename_id(parse_process("[a#1].0 | [b#2].0"), 1, 2)
+
+
+def _renamed(term, old, new):
+    # the reference: rebuild every node, renaming each running prefix on ``old``
+    if isinstance(term, (FrozenConsume, FrozenConserve)):
+        return type(term)(term.action, new if term.ident == old else term.ident, term.cont)
+    return term.rebuild([_renamed(child, old, new) for child in term.children()])
+
+
+def _made_from(found):
+    # the node a stand-in stands for, built; a node is itself
+    if type(found) is not tuple:
+        return found
+    return found[0](*(_made_from(f) if isinstance(f, (tuple, Term)) else f for f in found[1:]))
+
+
+@given(strategies.configurations, strategies.actions, strategies.pure_terms,
+       strategies.idents, st.integers(min_value=1, max_value=12), st.booleans())
+def test_rename_agrees_with_a_rewrite_of_every_node(config, action, cont, old, new, coupled):
+    if coupled:  # a second running prefix on ``old``, as a coupled start leaves
+        config = Par(config, FrozenConserve(action, old, cont))
+    assume(new == old or new not in config.ids)
+    found = semantics._rename(config, old, new, True)  # before the renamed term is made
+    want = _renamed(config, old, new)
+    assert semantics._rename(config, old, new) is want
+    assert _made_from(found) is want
+    assert want.ids == {new if i == old else i for i in config.ids}
 
 
 def test_fresh_id():

@@ -519,6 +519,55 @@ def test_constructors_return_the_requested_node(action, ident, cont, other):
     assert len({format_term(n) for n in built}) == len(set(map(id, built)))
 
 
+@given(strategies.actions, strategies.idents, strategies.pure_terms, terms)
+def test_the_bound_constructor_returns_the_class_calls_value(action, ident, cont, other):
+    # make is __new__ bound to the class: the same interned object as the
+    # class call, one count when it builds, none on a hit, and find unchanged
+    for cls, args in ((PrefixConsume, (action, cont)), (PrefixConserve, (action, cont)),
+                      (FrozenConsume, (action, ident, cont)),
+                      (FrozenConserve, (action, ident, cont)),
+                      (Sum, (cont, other)), (Par, (other, cont)), (Const, (action.name,)),
+                      (Action, (action.name, action.complemented)), (Nil, ()), (Hole, ())):
+        found = cls.find(*args)
+        made = syntax._made
+        value = cls.make(*args)
+        assert type(value) is cls and value is cls(*args) is cls.make(*args)
+        assert found is value or found == (cls, *args) and syntax._made == made + 1
+        assert cls.find(*args) is value
+    assert Action.make(action.name) is Action(action.name) is Action.make(action.name, False)
+
+
+_RUNNING = FrozenConsume(B, 1, NIL)  # no prefix may hold it
+
+
+@given(st.sampled_from([
+    (PrefixConsume, lambda name: (TAU, NIL)),  # a tau prefix
+    (PrefixConserve, lambda name: (A, _RUNNING)),  # a running prefix under a prefix
+    (FrozenConsume, lambda name: (A, 0, NIL)),  # identifier 0
+    (FrozenConserve, lambda name: (A, 0, NIL)),
+    (Const, lambda name: (name,)),  # a name that does not lex
+    (Action, lambda name: (name, False)),
+    (Action, lambda name: (None, True)),  # a complemented tau
+]), st.sampled_from(["tau", "", "x y", "1x", "a.b", "~a", "a#1"]))
+def test_a_failed_construction_raises_alike_and_enters_nothing(construction, name):
+    cls, fields = construction
+    args = fields(name)
+    errors = []
+    gc.collect()
+    gc.disable()  # no collection may drop a table entry between the snapshots
+    try:
+        table, made = dict(syntax._TABLE), syntax._made
+        for build in (cls, cls.make):
+            with pytest.raises((IllFormedPlacement, TauInPrefix, ValueError)) as info:
+                build(*args)
+            errors.append((type(info.value), str(info.value)))
+            assert syntax._TABLE == table and syntax._made == made
+    finally:
+        gc.enable()
+    assert errors[0] == errors[1]
+    assert cls.find(*args) == (cls, *args)
+
+
 @given(terms | st.just(HOLE), terms | st.just(HOLE), st.sampled_from((Sum, Par)))
 def test_a_binary_node_is_counted_once_and_entered_while_it_lives(left, right, node):
     # Sum and Par build in their own __new__; it must keep the interning
