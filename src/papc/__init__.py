@@ -19,6 +19,7 @@ from .syntax import (
     Action,
     TAU,
     complement,
+    MAX_IDENT,
     Term,
     Nil,
     NIL,

@@ -7,7 +7,7 @@ Grammar, loosest to tightest (both binary operators associate right):
     sum     := prefix ('+' prefix)*
     prefix  := '0'
              | action '.' prefix | action ':' prefix
-             | '[' action '#' INT ']' '.' prefix
+             | '[' action '#' INT ']' '.' prefix    -- INT from 1 to MAX_IDENT
              | '[' action '#' INT ']' ':' prefix
              | NAME                      -- constant
              | '[]'                      -- context hole
@@ -23,9 +23,8 @@ character against the common cases first (space, then punctuation, then
 names and digits) and takes a column from the character's index in the
 text, so a character costs one branch and a token one tuple.  The token
 list ends in two ``eof`` tokens, so the parser's one token of lookahead
-past the current one reads ``tokens[pos + 1]`` with no bounds check.  The
-parse loop indexes the list itself rather than through peek and next
-helpers: a token costs about one list read.
+past the current one reads ``tokens[pos + 1]`` with no bounds check, and the
+parse loop indexes the list itself: a token costs about one list read.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Callable, Optional
 from .errors import DuplicateDefinition, IllFormedPlacement, ParseError, TauInPrefix
 from .syntax import (
     HOLE,
+    MAX_IDENT,
     NIL,
     Action,
     Const,
@@ -175,9 +175,13 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
             if running:
                 _expect(tokens, pos, "#")
                 num = _expect(tokens, pos + 1, "int")
-                ident = int(num[1])
-                if ident < 1:
+                digits = num[1].lstrip("0")  # compared by length first: no huge int is made
+                if not digits:
                     raise ParseError("running-action identifiers start at 1", num[2], num[3])
+                if len(digits) > len(str(MAX_IDENT)) or int(digits) > MAX_IDENT:
+                    raise ParseError(f"running-action identifiers stop at {MAX_IDENT}",
+                                     num[2], num[3])
+                ident = int(digits)
                 _expect(tokens, pos + 2, "]")
                 fields += (ident,)
                 pos += 3
@@ -268,7 +272,7 @@ def _parse_equations(text: str, root_name: Optional[str]) -> tuple[Definitions, 
             continue
         if name in bindings:
             raise DuplicateDefinition(f"constant {name!r} is defined twice")
-        if body.ids:  # no hole parses here, so only running prefixes make it no plain process
+        if body.mask:  # no hole parses here, so only running prefixes make it no plain process
             raise ParseError(f"definition body of {name!r} must be a plain process", line, column)
         bindings[name] = body
     return Definitions(bindings), root

@@ -38,7 +38,10 @@ non-trivial subterms derive (with the part of the budget they hold), never
 the state itself, so states derive a shared subterm once.  Derivation stays
 pure: entries depend on the definitions, so a memo serves one call and its
 owner drops it, ``lts.build`` per build and the ``bisimilar`` explorer per
-check.  Equal identifier sets in labels share one bounded table (``_shared``).
+check.  Identifier sets are ints there, bit *i* for identifier *i* as in
+``Term.mask`` (``a & ~b`` is ``a - b``), so steps and memo keys hold no set; a
+label gets its frozensets in ``_transitions``.  A start whose fresh identifier
+would pass ``MAX_IDENT`` raises ``CapExceeded``.
 
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
@@ -73,8 +76,9 @@ Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
 differ in arity, so never compare equal.  Equal H, I and CP labels are one
 object from a bounded table (``_shared_labels``) that prints and orders each
-once.  CC labels hold their continuation, so they are never shared and print
-and order at every call.
+once, and equal sets in labels are one object from another (``_shared_sets``).
+CC labels hold their continuation, so they are never shared and print and
+order at every call.
 """
 
 from __future__ import annotations
@@ -128,15 +132,15 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
 # Subterm derivations under one set of definitions, owned by one ``lts.build``
 # call or one ``bisimilar`` check.  Tuples in derivation order, keyed by the
-# unfolded Sum or Par node (``_h``), ``(node, allowed & node.ids)`` (``_interrupts``) or
-# ``(outer & node.ids, node)`` (``_completions``; reversed, so never equal).
+# unfolded Sum or Par node (``_h``), ``(node, allowed & node.mask)`` (``_interrupts``)
+# or ``(outer & node.mask, node)`` (``_completions``; reversed, so never equal).
 # An entry keeps the order its steps were first derived in, so a memo never
-# changes derivation order.  The public functions pass ``top``:
-# storing each state's own derivation too made builds about 9% slower.  Full and
-# ``known`` calls share every entry: a full entry holds only live nodes, which
-# the memo keeps alive, and a stand-in stored by a known call can only go stale
-# once a value is made.  So a full call empties a memo last used by a known
-# call, and so does a known call once a value has been made since the last one.
+# changes derivation order.  The public functions pass ``top``: a state's own
+# derivation is not stored.  Full and ``known`` calls share every entry: a full
+# entry holds only live nodes, which the memo keeps alive, and a stand-in
+# stored by a known call can only go stale once a value is made.  So a full
+# call empties a memo last used by a known call, and so does a known call once
+# a value has been made since the last one.
 Memo = dict
 
 # The only targets a caller keeps, or None for all.  Steps into other targets
@@ -251,7 +255,7 @@ def transition_sort_key(t: Transition) -> tuple:
 
 def actions_at(ident: int, config: Term) -> frozenset[Action]:
     """Actions currently running in the configuration under identifier ``ident``."""
-    return frozenset(t.action for t in subterms(config, lambda t: ident in t.ids)
+    return frozenset(t.action for t in subterms(config, lambda t: ident > 0 and t.mask >> ident & 1)
                      if isinstance(t, (FrozenConsume, FrozenConserve)) and t.ident == ident)
 
 
@@ -262,11 +266,11 @@ def rename_id(config: Term, old: int, new: int) -> Term:
     """
     if new == old:
         return config
-    if new in config.ids:
+    if new > 0 and config.mask >> new & 1:
         raise IdentifierCollision(
             f"renaming {old} to {new} would collide in {format_term(config)}"
         )
-    return _rename(config, old, new)
+    return _rename(config, old, new) if old > 0 else config
 
 
 def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Term | tuple:
@@ -278,7 +282,7 @@ def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Ter
             return node.find(action, new, cont) if ident == old else config
         node, left, right = config
         return node.find(_rename(left, old, new, True), _rename(right, old, new, True))
-    if old not in config.ids:
+    if not config.mask >> old & 1:
         return config
     node = type(config)
     make = node.find if find else node.make
@@ -287,9 +291,9 @@ def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Ter
     # Sum or Par, the only other id holders; only a child holding ``old``
     # changes, and both do where a coupled start shares it
     left, right = config.left, config.right
-    if old in left.ids:
+    if left.mask >> old & 1:
         left = _rename(left, old, new, find)
-    if old in right.ids:
+    if right.mask >> old & 1:
         right = _rename(right, old, new, find)
     return make(left, right)
 
@@ -301,6 +305,15 @@ def fresh_id(used: Iterable[int]) -> int:
     while i in taken:
         i += 1
     return i
+
+
+def _fresh(config: Term) -> int:
+    # the least identifier unused in ``config``: the lowest clear bit above bit 0
+    mask = config.mask | 1
+    fresh = (~mask & (mask + 1)).bit_length() - 1
+    if fresh > syntax.MAX_IDENT:
+        raise CapExceeded(f"a start in {format_term(config)} needs an identifier past the bound")
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +330,7 @@ def _tau(steps: Iterable[tuple]) -> list[tuple]:
     return [step for step in steps if step[1] is TAU]  # starts and completions alike
 
 
-def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | None = None,
+def _h(config: Term, defs: Definitions, unfolding: tuple[str, ...], memo: Memo | None = None,
        top: bool = False, find: bool = False, system: bool = False) -> Iterable[_HStep]:
     """The starts of ``config``; a root frame with ``system`` wraps tau ones only."""
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
@@ -328,7 +341,7 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
             raise UnguardedRecursion(
                 f"constant {config.name!r} unfolds to itself without passing a prefix"
             )
-        unfolding = unfolding | {config.name}
+        unfolding += (config.name,)
         config = body
     started = _STARTED.get(type(config))
     if started is not None:
@@ -345,7 +358,6 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
     node = type(config)
     make = node.find if find else node.make
     left, right = config.left, config.right
-    fresh = fresh_id(config.ids)  # the least identifier unused in the composite
     out: dict[_HStep, None] = {}  # insertion-ordered, merging equal steps
     left_steps = _h(left, defs, unfolding, memo, find=find)
     right_steps = _h(right, defs, unfolding, memo, find=find)
@@ -353,7 +365,8 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
              else ((left_steps, right, False), (right_steps, left, True)))
     for steps, other, flip in wraps:
         for ident, action, target in steps:
-            if ident in other.ids:
+            if other.mask >> ident & 1:
+                fresh = _fresh(config)
                 ident, target = fresh, _rename(target, ident, fresh, find)
             out[ident, action, make(other, target) if flip else make(target, other)] = None
     if node is Par:
@@ -367,6 +380,7 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
             partner = Action.find(laction.name, not laction.complemented)
             for rid, raction, rtarget in right_steps:
                 if raction == partner:
+                    fresh = _fresh(config)
                     out[fresh, TAU, make(_rename(ltarget, lid, fresh, find),
                                          _rename(rtarget, rid, fresh, find))] = None
     if memo is not None and not top:
@@ -377,45 +391,45 @@ def _h(config: Term, defs: Definitions, unfolding: frozenset[str], memo: Memo | 
 # ---------------------------------------------------------------------------
 # interrupt relation
 
-_IStep = tuple[frozenset[int], Term]
+_IStep = tuple[int, Term]  # (the mask of the rolled-back identifiers, target)
 
 _EMPTY: frozenset[int] = frozenset()
 
-# Equal identifier sets in labels are one object: the interrupt and completion
-# passes enter every set they build in this table, so a memo holds one copy of
-# each.  Identifiers are the least unused ones, so few sets occur; a fan-out
-# over n running prefixes may still build 2^n, so the table is bounded by
-# construction: a miss on a full table empties it first.  Sets hold no term and
-# compare by value, so the table keeps no term alive and changes no output.
+# Equal identifier sets in labels are one object from this table, keyed by
+# mask.  A fan-out over n running prefixes may build 2^n sets, so a miss on a
+# full table empties it first.  Sets hold no term, so the table keeps none alive.
 _SHARED_CAP = 1024
-_shared_sets: dict[frozenset[int], frozenset[int]] = {_EMPTY: _EMPTY}
+_shared_sets: dict[int, frozenset[int]] = {0: _EMPTY}
 
 
-def _shared(ids: frozenset[int]) -> frozenset[int]:
-    found = _shared_sets.get(ids)
+def _set_of(mask: int) -> frozenset[int]:
+    found = _shared_sets.get(mask)
     if found is None:
         if len(_shared_sets) >= _SHARED_CAP:
             _shared_sets.clear()
-            _shared_sets[_EMPTY] = _EMPTY  # every empty set stays the one _EMPTY
-        found = _shared_sets[ids] = ids
+            _shared_sets[0] = _EMPTY  # every empty set stays the one _EMPTY
+        found = _shared_sets[mask] = syntax._bits(mask)
     return found
 
 
-# Equal H, I and CP labels are one object too: ``_transitions`` takes them from
-# a table bounded the same way, keyed by the label, which equals the plain
-# tuple of its fields.  Each entry is ``[label, text, sort key]``, the last two
-# computed on first use, so a label prints and orders once while it stays in
-# the table.  CC labels never enter it: they hold their continuation, which the
-# table would keep alive; H, I and CP labels hold identifiers, actions and sets.
+# Equal H, I and CP labels are one object too, from a table bounded the same
+# way and keyed by the label.  Each entry is ``[label, text, sort key]``, the
+# last two computed on first use, so a label prints and orders once while it
+# stays in the table.  ``_transitions`` finds an entry by the step's fields,
+# masks for sets, in ``_step_labels``, emptied with it.  CC labels never enter:
+# they hold their continuation, which the table would keep alive.
 _shared_labels: dict[Label, list] = {}
+_step_labels: dict[tuple, list] = {}
 
 
 def _new_label(label_class: type, fields: tuple) -> list:
-    # on a miss: the entry of a new label, in a table emptied first when full
+    # on a miss: the entry of a new label, in tables emptied first when full
     if len(_shared_labels) >= _SHARED_CAP:
         _shared_labels.clear()
-    label = tuple.__new__(label_class, fields)
-    entry = _shared_labels[label] = [label, None, None]
+        _step_labels.clear()
+    label = tuple.__new__(label_class, fields if label_class is Handshake  # H holds no set
+                          else (*fields[:-1], _set_of(fields[-1])))  # I and CP end in a mask
+    entry = _shared_labels[label] = _step_labels[fields] = [label, None, None]
     return entry
 
 
@@ -435,18 +449,19 @@ def _check_cap(config: Term) -> None:
             )
 
 
-def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
+def _interrupts(config: Term, allowed: int, memo: Memo | None = None,
                 top: bool = False, find: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
-    ``allowed``; the others stay put, so ``allowed >= config.ids`` gives the
+    ``allowed``; the others stay put, so ``allowed = config.mask`` gives the
     whole relation."""
-    if config.ids.isdisjoint(allowed):
-        return ((_EMPTY, config),)
+    mask = config.mask & allowed
+    if not mask:
+        return ((0, config),)
     idle = _IDLE.get(type(config))
     if idle is not None:
         make = idle.find if find else idle.make
-        return ((config.ids, make(config.action, config.cont)), (_EMPTY, config))
-    if memo is not None and (steps := memo.get(key := (config, allowed & config.ids))) is not None:
+        return ((mask, make(config.action, config.cont)), (0, config))
+    if memo is not None and (steps := memo.get(key := (config, mask))) is not None:
         return steps
     node = type(config)  # Sum or Par, the only other nodes holding running prefixes
     make = node.find if find else node.make
@@ -455,7 +470,7 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
     # is injective (nodes are interned by their children, and a stand-in, the
     # tuple of class and children, equals no node), so these differ too.  The
     # choice that rolls back nothing leaves ``config`` itself: no lookup.
-    steps = [(_shared(lids | rids), make(ltarget, rtarget)) if lids or rids else (_EMPTY, config)
+    steps = [(lids | rids, make(ltarget, rtarget)) if lids or rids else (0, config)
              for (lids, ltarget), (rids, rtarget) in itertools.product(
                  _interrupts(config.left, allowed, memo, find=find),
                  _interrupts(config.right, allowed, memo, find=find))]
@@ -467,11 +482,11 @@ def _interrupts(config: Term, allowed: frozenset[int], memo: Memo | None = None,
 # ---------------------------------------------------------------------------
 # completion relations
 
-_CPStep = tuple[int, Action, frozenset[int], Term]
-_CCStep = tuple[int, Action, frozenset[int], Term, Term]  # (l, a, N, continuation, target)
+_CPStep = tuple[int, Action, int, Term]  # (l, a, the mask of N, target)
+_CCStep = tuple[int, Action, int, Term, Term]  # (l, a, the mask of N, continuation, target)
 
 
-def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, top: bool = False,
+def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool = False,
                  find: bool = False, system: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
@@ -481,22 +496,22 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
     With ``outer`` the identifiers held by the parallel siblings of every
     enclosing composition, a step demanding anything else can never reach
     the root demanding nothing, so it is pruned: the interrupts that would
-    add such an identifier are not enumerated at all.  ``outer = config.ids``
-    prunes nothing.  Only ``outer & config.ids`` matters.  A root frame with
+    add such an identifier are not enumerated at all.  ``outer = config.mask``
+    prunes nothing.  Only ``outer & config.mask`` matters.  A root frame with
     ``system`` builds tau preemptive completions only (see the module docstring).
     """
-    if not config.ids:
+    if not config.mask:
         return (), ()
     if isinstance(config, FrozenConsume):
         if system and config.action is not TAU:
             return (), ()
-        return ((config.ident, config.action, _EMPTY, config.cont),), ()
+        return ((config.ident, config.action, 0, config.cont),), ()
     if isinstance(config, FrozenConserve):
         if system:
             return (), ()
         rearmed = (PrefixConserve.find if find else PrefixConserve.make)(config.action, config.cont)
-        return (), ((config.ident, config.action, _EMPTY, config.cont, rearmed),)
-    if memo is not None and (found := memo.get(key := (outer & config.ids, config))) is not None:
+        return (), ((config.ident, config.action, 0, config.cont, rearmed),)
+    if memo is not None and (found := memo.get(key := (outer & config.mask, config))) is not None:
         return (_tau(found[0]), ()) if system else found
     node = type(config)
     make = node.find if find else node.make
@@ -511,35 +526,36 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
             this_cp, this_cc = _completions(this, outer, memo, find=find)
             if system:
                 this_cp, this_cc = _tau(this_cp), ()
-            if other.ids <= outer:
+            if not other.mask & ~outer:
                 for ident, action, demanded, target in this_cp:
-                    cp[ident, action, _shared(demanded | other.ids), target] = None
-            choices = _interrupts(other, other.ids & outer, memo, find=find) if this_cc else ()
+                    cp[ident, action, demanded | other.mask, target] = None
+            choices = _interrupts(other, other.mask & outer, memo, find=find) if this_cc else ()
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
-                    cc[ident, action, _shared(demanded | interrupted), cont,
+                    cc[ident, action, demanded | interrupted, cont,
                        make(rest, target) if flip else make(target, rest)] = None
     else:  # Par
-        cp_left, cc_left = _completions(left, outer | right.ids, memo, find=find)
-        cp_right, cc_right = _completions(right, outer | left.ids, memo, find=find)
+        cp_left, cc_left = _completions(left, outer | right.mask, memo, find=find)
+        cp_right, cc_right = _completions(right, outer | left.mask, memo, find=find)
         wraps = (((_tau(cp_left), (), right, False), (_tau(cp_right), (), left, True)) if system
                  else ((cp_left, cc_left, right, False), (cp_right, cc_right, left, True)))
         for this_cp, this_cc, other, flip in wraps:
             # a completion on one side; the other side interrupts at least the
             # demanded actions it hosts, and demands satisfied inside vanish
-            choices_for: dict[frozenset[int], Iterable[_IStep]] = {}
+            choices_for: dict[int, Iterable[_IStep]] = {}
+            held = other.mask
             for ident, action, demanded, target in this_cp:
-                required = other.ids & demanded
-                allowed = other.ids & (demanded | outer)
+                required = held & demanded
+                allowed = held & (demanded | outer)
                 choices = choices_for.get(allowed)
                 if choices is None:
                     choices = choices_for[allowed] = _interrupts(other, allowed, memo, find=find)
                 for interrupted, rest in choices:
-                    if interrupted >= required:
-                        cp[ident, action, _shared((demanded | interrupted) - required),
+                    if not required & ~interrupted:
+                        cp[ident, action, (demanded | interrupted) & ~required,
                            make(rest, target) if flip else make(target, rest)] = None
             for ident, action, demanded, cont, target in this_cc:
-                if demanded <= outer:
+                if not demanded & ~outer:
                     cc[ident, action, demanded, cont,
                        make(other, target) if flip else make(target, other)] = None
         # coupled preemptive completions: shared demands cancel out
@@ -549,8 +565,8 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
             partner = Action.find(laction.name, not laction.complemented)
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
-                if rident == lident and raction == partner and visible <= outer:
-                    cp[lident, TAU, _shared(visible), make(ltarget, rtarget)] = None
+                if rident == lident and raction == partner and not visible & ~outer:
+                    cp[lident, TAU, visible, make(ltarget, rtarget)] = None
         # coupled conservative completions with nothing demanded: both
         # continuations land in parallel at this level
         for lident, laction, ldem, lcont, ltarget in cc_left:
@@ -559,7 +575,7 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
             partner = Action.find(laction.name, not laction.complemented)
             for rident, raction, rdem, rcont, rtarget in cc_right:
                 if rident == lident and raction == partner and not rdem:
-                    cp[lident, TAU, _EMPTY,
+                    cp[lident, TAU, 0,
                        make(make(make(ltarget, rtarget), lcont), rcont)] = None
         # mixed coupling: the conservative side's demands must all be covered by
         # the preemptive side's, and only the difference stays visible, within
@@ -568,9 +584,10 @@ def _completions(config: Term, outer: frozenset[int], memo: Memo | None = None, 
             for ident, action, cdem, cont, ctarget in this_cc:
                 partner = Action.find(action.name, not action.complemented)
                 for pident, paction, pdem, ptarget in other_cp:
-                    if pident == ident and paction == partner and cdem <= pdem <= outer | cdem:
+                    if (pident == ident and paction == partner and not cdem & ~pdem
+                            and not pdem & ~(outer | cdem)):
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
-                        cp[ident, TAU, _shared(pdem - cdem), make(pair, cont)] = None
+                        cp[ident, TAU, pdem & ~cdem, make(pair, cont)] = None
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
@@ -604,10 +621,10 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
         return (None,) * len(steps)
     new = tuple.__new__
     if label_class is CompleteConservative:  # never shared, see _shared_labels
-        transitions = [new(Transition, (source, new(label_class, step[:-1]), step[-1]))
-                       for step in kept]
+        transitions = [new(Transition, (source, new(label_class, (l, a, _set_of(n), cont)), target))
+                       for l, a, n, cont, target in kept]
     else:
-        get = _shared_labels.get
+        get = _step_labels.get
         transitions = [
             new(Transition, (source, (get(step[:-1]) or _new_label(label_class, step[:-1]))[0], step[-1]))
             for step in kept]
@@ -617,7 +634,7 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,
                     known: Known = None) -> tuple[Transition | None, ...]:
     """Every start derivable from the configuration, coupled starts included."""
-    steps = _h(config, defs, frozenset(), _memo_for(memo, known), True, known is not None)
+    steps = _h(config, defs, (), _memo_for(memo, known), True, known is not None)
     return _transitions(config, Handshake, steps, known)
 
 
@@ -626,7 +643,7 @@ def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: M
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    steps = _interrupts(config, config.ids, _memo_for(memo, known), True, known is not None)
+    steps = _interrupts(config, config.mask, _memo_for(memo, known), True, known is not None)
     return _transitions(config, Interrupt, steps, known)
 
 
@@ -634,14 +651,14 @@ def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) 
     """Every consuming completion, including coupled tau completions."""
     del defs  # completions fire on running prefixes only, never on constants
     _check_cap(config)
-    return _transitions(config, CompletePreemptive, _completions(config, config.ids)[0])
+    return _transitions(config, CompletePreemptive, _completions(config, config.mask)[0])
 
 
 def conservative_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
     """Every re-arming completion, the continuation riding in the label."""
     del defs
     _check_cap(config)
-    return _transitions(config, CompleteConservative, _completions(config, config.ids)[1])
+    return _transitions(config, CompleteConservative, _completions(config, config.mask)[1])
 
 
 def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
@@ -654,7 +671,7 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     names sees every derivation."""
     starts = handshake_steps(config, defs, memo, known)
     interrupts = interrupt_steps(config, defs, memo, known)
-    cp, cc = _completions(config, config.ids, _memo_for(memo, known), True, known is not None)
+    cp, cc = _completions(config, config.mask, _memo_for(memo, known), True, known is not None)
     return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known)
             + _transitions(config, CompleteConservative, cc, known))
 
@@ -677,8 +694,8 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     # starts before the cap check, as in all_steps, so the same error wins
     find = known is not None
     memo = _memo_for(memo, known)
-    starts = _h(config, defs, frozenset(), memo, True, find, system=True)
+    starts = _h(config, defs, (), memo, True, find, system=True)
     _check_cap(config)
-    cp = _completions(config, _EMPTY, memo, True, find, system=True)[0]
+    cp = _completions(config, 0, memo, True, find, system=True)[0]
     return (_transitions(config, Handshake, starts, known)
             + _transitions(config, CompletePreemptive, cp, known))

@@ -15,18 +15,19 @@ represents both; `is_process` tells them apart.  Nodes and actions are
 immutable and hash-consed through one table: equal values are one interned
 object, so they compare and hash by identity; ``Sum.make(p, q)`` is
 ``Sum(p, q)`` built without the class-call layer.  Each node also keeps its
-identifiers and its running-prefix count.  Printing goes by chains:
-a right-nested run of one binary operator (``a | b | c``), or a run of
-prefixes (``a.b:c.0``), prints in one pass, and only the chain's head keeps
-the text, so a printed chain holds text in proportion to its length, not to
-its square.
+running-prefix count and its identifiers, as the int ``mask`` with bit *i* set
+where identifier *i* runs (``ids`` gives them as a frozenset); identifiers run
+from 1 to ``MAX_IDENT``.  Printing goes by chains: a right-nested run of one
+binary operator (``a | b | c``), or a run of prefixes (``a.b:c.0``), prints in
+one pass, and only the chain's head keeps the text, so a printed chain holds
+text in proportion to its length, not to its square.
 
 Traversal: each node class states its shape once, as ``children()`` (its
 direct subterms, left to right) and ``rebuild(children)`` (the same node over
 new subterms).  `subterms` walks a term in pre-order on an explicit stack,
 visiting a node's children only where ``descend(node)`` holds.  Helpers that
 collect from a term filter that walk; helpers that rewrite a term recurse
-through ``children``/``rebuild``; hot paths prune on ``ids`` directly.
+through ``children``/``rebuild``; hot paths prune on ``mask`` directly.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "Action",
     "TAU",
     "complement",
+    "MAX_IDENT",
     "Term",
     "Nil",
     "NIL",
@@ -208,7 +210,13 @@ def format_action(action: Action) -> str:
 # terms
 
 
-_NO_IDS: frozenset[int] = frozenset()
+MAX_IDENT = 2 ** 16  # the largest running-action identifier
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The indices of the set bits of ``mask``."""
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+
 
 # Binding strength, loosest to tightest: `|` < `+` < prefix.  Both binary
 # operators associate to the right, so a left operand of its own kind needs
@@ -224,20 +232,25 @@ class Term(_Interned):
     Nodes are interned like actions and never change after construction:
     building a node equal to a live one returns that one, so ``==`` is
     ``is`` and ``hash`` is the identity hash.  Next to its fields each node
-    carries, fixed at construction, ``ids`` (the identifiers of its running
-    prefixes, so that the semantics can test for identifier collisions in
-    O(1)) and ``n_frozen`` (its running prefixes, repeated identifiers
-    counted); holes are counted by walking.  A node that ``format_term``
-    printed as the head of a chain keeps the chain's text; the nodes inside
-    the chain keep none.  ``children`` and ``rebuild`` give generic
+    carries, fixed at construction, ``mask`` (the identifiers of its running
+    prefixes as the bits of an int, so that the semantics combines them in
+    int operations) and ``n_frozen`` (its running prefixes, repeated
+    identifiers counted); holes are counted by walking.  A node that
+    ``format_term`` printed as the head of a chain keeps the chain's text; the
+    nodes inside the chain keep none.  ``children`` and ``rebuild`` give generic
     traversals a node's shape: ``t.rebuild(t.children()) is t``.
     """
 
-    __slots__ = ("ids", "n_frozen", "_text")
+    __slots__ = ("mask", "n_frozen", "_text")
     _prec = _PREC_ATOM
 
     def _init(self) -> None:  # the leaves
-        self.ids, self.n_frozen, self._text = _NO_IDS, 0, None
+        self.mask, self.n_frozen, self._text = 0, 0, None
+
+    @property
+    def ids(self) -> frozenset[int]:
+        """The identifiers of the running prefixes: the set bits of ``mask``."""
+        return _bits(self.mask)
 
     def children(self) -> tuple[Term, ...]:
         return ()
@@ -305,13 +318,13 @@ class _Prefix(Term):
         if action.name is None:
             raise TauInPrefix("prefix actions range over named actions, not tau")
         # Holes pass; the check is redone once the hole is filled.
-        if cont.ids:
+        if cont.mask:
             raise IllFormedPlacement(
                 "a prefix continuation must be a plain process, "
                 f"but {format_term(cont)} contains running prefixes"
             )
         self.action, self.cont = action, cont
-        self.ids, self.n_frozen, self._text = _NO_IDS, 0, None
+        self.mask, self.n_frozen, self._text = 0, 0, None
 
     def children(self) -> tuple[Term, ...]:
         return (self.cont,)
@@ -350,10 +363,10 @@ class _Running(_Prefix):
 
     def _init(self, action: Action, ident: int, cont: Term) -> None:
         _Prefix._init(self, action, cont)
-        if ident < 1:
-            raise ValueError("running-action identifiers start at 1")
+        if not 1 <= ident <= MAX_IDENT:
+            raise ValueError(f"running-action identifiers run from 1 to {MAX_IDENT}")
         self.ident = ident
-        self.ids, self.n_frozen = frozenset((ident,)), 1
+        self.mask, self.n_frozen = 1 << ident, 1
 
     def rebuild(self, children: Sequence[Term]) -> Term:
         return self.make(self.action, self.ident, children[0])
@@ -410,8 +423,7 @@ class _Binary(Term):
         _made += 1
         value = object.__new__(cls)
         value.left, value.right, value._text = left, right, None
-        lids, rids = left.ids, right.ids
-        value.ids = lids | rids if lids and rids else lids or rids
+        value.mask = left.mask | right.mask
         value.n_frozen = left.n_frozen + right.n_frozen
         ref = _TABLE[key] = _Ref(value, _forget)
         ref.key = key
@@ -501,13 +513,13 @@ def check_context(term: Term) -> None:
     holes = sum(isinstance(t, Hole) for t in subterms(term))
     if holes != 1:
         raise ParseError(f"a context needs exactly one hole, found {holes}")
-    if term.ids:
+    if term.mask:
         raise ParseError("contexts are process-shaped; no running prefixes allowed")
 
 
 def is_process(term: Term) -> bool:
     """True when the term has no running prefixes (and no hole)."""
-    return not term.ids and not any(isinstance(t, Hole) for t in subterms(term))
+    return not term.mask and not any(isinstance(t, Hole) for t in subterms(term))
 
 
 def constants_of(term: Term) -> Iterator[str]:

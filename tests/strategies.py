@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 
 from papc.syntax import (
+    MAX_IDENT,
     Action,
     Const,
     FrozenConserve,
@@ -30,17 +31,27 @@ pure_terms = st.recursive(
 
 idents = st.integers(min_value=1, max_value=9)
 
-# frozen prefixes may repeat identifiers here; reachable configurations never
-# do, but the grammar allows it
-configurations = st.recursive(
-    st.one_of(
-        pure_terms,
-        st.builds(FrozenConsume, actions, idents, pure_terms),
-        st.builds(FrozenConserve, actions, idents, pure_terms),
-    ),
-    lambda inner: st.one_of(st.builds(Sum, inner, inner), st.builds(Par, inner, inner)),
-    max_leaves=10,
-)
+# identifiers on both sides of the 30-bit digits of an int mask, and the
+# largest one, so that masks span several digits
+wide_idents = st.sampled_from([1, 2, *range(29, 34), *range(60, 67), MAX_IDENT])
+
+
+def _configurations(idents):
+    # frozen prefixes may repeat identifiers here; reachable configurations
+    # never do, but the grammar allows it
+    return st.recursive(
+        st.one_of(
+            pure_terms,
+            st.builds(FrozenConsume, actions, idents, pure_terms),
+            st.builds(FrozenConserve, actions, idents, pure_terms),
+        ),
+        lambda inner: st.one_of(st.builds(Sum, inner, inner), st.builds(Par, inner, inner)),
+        max_leaves=10,
+    )
+
+
+configurations = _configurations(idents)
+wide_configurations = _configurations(wide_idents)
 
 # sums of running and plain prefixes, no parallel composition
 summations = st.recursive(

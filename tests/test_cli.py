@@ -286,6 +286,19 @@ def test_steps_of_inert_system_is_empty(tmp_path):
     assert output.strip() == ""
 
 
+def test_identifiers_past_the_bound_fail_loudly(tmp_path):
+    big = "[a#99999999999999999999].0"
+    model = tmp_path / "big.papc"
+    model.write_text(f"system := {big};")
+    for argv in (["check", str(model)], ["lts", str(model)],
+                 ["steps", CELL, "--from", big], ["bisim", CELL, "a.0", big]):
+        result = run_process(argv)
+        assert result.returncode == 1, argv
+        assert b"Traceback" not in result.stderr
+        assert result.stderr.count(b"error:") == 1
+        assert b"running-action identifiers stop at 65536" in result.stderr
+
+
 def test_steps_interrupt_blowup_exits_two(tmp_path):
     model = tmp_path / "wide.papc"
     wide = " + ".join(f"[a#{i}].0" for i in range(1, 18))

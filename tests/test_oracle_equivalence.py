@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 import strategies
@@ -118,6 +119,16 @@ def test_system_steps_are_the_filtered_union_on_reachable_states():
 
 # all_steps on a sum of ten running prefixes takes about half a second
 @settings(deadline=None)
-@given(strategies.configurations)
+@given(st.one_of(strategies.configurations, strategies.wide_configurations))
 def test_system_steps_are_the_filtered_union_on_generated_terms(config):
     _assert_system_steps_are_the_filtered_union(config)
+
+
+@settings(deadline=None)
+@given(strategies.wide_configurations)
+def test_engine_matches_oracle_on_identifiers_across_int_digits(config):
+    # identifier masks span several int digits here, up to MAX_IDENT; the
+    # oracle keeps identifiers in frozensets
+    for name, engine_fn, oracle_fn in RELATION_PAIRS:
+        got = oracle.engine_view(engine_fn(config, STANDARD_DEFS))
+        assert got == oracle_fn(config, STANDARD_DEFS), f"{name} differs on {format_term(config)}"

@@ -84,6 +84,7 @@ def test_actions_at():
     assert actions_at(1, config) == {Action("a")}
     assert actions_at(2, config) == {Action("g")}
     assert actions_at(7, config) == frozenset()
+    assert actions_at(0, config) == actions_at(-1, config) == frozenset()
 
 
 def test_rename_id_single_occurrence():
@@ -93,6 +94,8 @@ def test_rename_id_single_occurrence():
 def test_rename_id_no_running_prefixes():
     term = parse_process("a.0")
     assert rename_id(term, 5, 6) == term
+    running = parse_process("[a#1].0")
+    assert rename_id(running, 0, 2) == rename_id(running, -1, 2) == running
 
 
 def test_rename_id_renames_coupled_sides():
@@ -131,6 +134,30 @@ def test_rename_agrees_with_a_rewrite_of_every_node(config, action, cont, old, n
     assert semantics._rename(config, old, new) is want
     assert _made_from(found) is want
     assert want.ids == {new if i == old else i for i in config.ids}
+
+
+@pytest.mark.parametrize("derive", [handshake_steps, all_steps, system_steps])
+def test_a_start_past_the_identifier_bound_raises(monkeypatch, derive):
+    # every identifier up to the bound runs: a start that collides needs a
+    # fresh one past it, in all_steps; at a system root only the coupling of
+    # two visible starts needs one.  Known mode builds no node, so the
+    # constructor's own check would not fire there.
+    config = parse_process("([a#1].0 | zc.0) | ([b#2].0 | ~zc.0)")
+    monkeypatch.setattr(syntax, "MAX_IDENT", 2)
+    for known in (None, {config}):
+        with pytest.raises(CapExceeded, match="identifier past the bound"):
+            derive(config, DEFS, {}, known)
+    monkeypatch.setattr(syntax, "MAX_IDENT", 3)  # the fresh identifier at the bound
+    steps = derive(config, DEFS)
+    assert derive(config, DEFS, {}, {t.target for t in steps}) == steps
+    assert 3 in {t.label.ident for t in steps if isinstance(t.label, Handshake)}
+
+
+def test_a_term_with_every_identifier_running_derives_while_no_start_needs_one(monkeypatch):
+    config = parse_process("[a#1].0 | [b#2].0 + [zc#3]:0")
+    steps = all_steps(config, DEFS)
+    monkeypatch.setattr(syntax, "MAX_IDENT", 3)
+    assert all_steps(config, DEFS, {}) == steps
 
 
 def test_fresh_id():
@@ -214,8 +241,11 @@ def test_interrupt_cap_is_per_component():
 
 
 def test_equal_identifier_sets_of_one_derivation_are_one_object(monkeypatch):
+    # the set table as on import, and label tables holding none of its sets
     empty = semantics._EMPTY
-    monkeypatch.setattr(semantics, "_shared_sets", {empty: empty})  # as on import
+    monkeypatch.setattr(semantics, "_shared_sets", {0: empty})
+    monkeypatch.setattr(semantics, "_shared_labels", {})
+    monkeypatch.setattr(semantics, "_step_labels", {})
     config = parse_process("[a#1].0 | [b#2].0 + c:0 | [~c#3]:0 | [d#4].0")
     sets = [t.label.idents if isinstance(t.label, Interrupt) else t.label.demanded
             for t in all_steps(config) if not isinstance(t.label, Handshake)]
@@ -227,16 +257,19 @@ def test_equal_identifier_sets_of_one_derivation_are_one_object(monkeypatch):
 
 def test_the_shared_set_table_stays_within_its_cap(monkeypatch):
     # n one-prefix components derive 2^n > cap interrupt sets at the root
-    # alone, on a table that starts close to full
+    # alone, on a table that starts close to full, keyed by masks that no
+    # derivation here makes, and label tables that convert every set
     cap = semantics._SHARED_CAP
     n = cap.bit_length()
     wide = parse_process(" | ".join(f"[a#{i}].0" for i in range(1, n + 1)))
-    monkeypatch.setattr(semantics, "_shared_sets", {frozenset([-i]): frozenset([-i])
-                                                    for i in range(cap - 24)})
+    monkeypatch.setattr(semantics, "_shared_sets", {1 << i: frozenset([i])
+                                                    for i in range(n + 1, n + 1 + cap - 24)})
+    monkeypatch.setattr(semantics, "_shared_labels", {})
+    monkeypatch.setattr(semantics, "_step_labels", {})
     steps = interrupt_steps(wide)
     assert len(steps) == 2 ** n
     assert len(semantics._shared_sets) <= cap
-    assert semantics._shared_sets[frozenset()] is semantics._EMPTY  # entered again on a clear
+    assert semantics._shared_sets[0] is semantics._EMPTY  # entered again on a clear
     semantics._shared_sets.clear()
     assert interrupt_steps(wide) == steps
 
@@ -660,7 +693,7 @@ def test_interrupts_never_yield_a_duplicate_step(config, data):
     # the fan-out is a list that merges nothing, so its steps must be distinct,
     # for any allowed subset, in full and in known mode (whose targets are
     # stand-ins where no term is live), with and without a shared memo
-    allowed = frozenset(data.draw(st.sets(st.sampled_from(sorted(config.ids) or [1]))))
+    allowed = sum(1 << i for i in data.draw(st.sets(st.sampled_from(sorted(config.ids) or [1]))))
     memo = {}
     for known in ((), None, ()):
         for shared in (None, semantics._memo_for(memo, known)):

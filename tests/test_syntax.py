@@ -201,6 +201,9 @@ PARSE_ERRORS = [
     ("process", "a.~tau:0", TauInPrefix, "tau cannot be used as a prefix action", 1, 4),
     ("process", "[tau#1].0", TauInPrefix, "tau cannot be used as a prefix action", 1, 2),
     ("process", "[a#0].0", ParseError, "running-action identifiers start at 1", 1, 4),
+    ("process", "[a#65537].0", ParseError, "running-action identifiers stop at 65536", 1, 4),
+    ("process", "a.0 |\n [b#99999999999999999999]:0", ParseError,
+     "running-action identifiers stop at 65536", 2, 5),
     ("process", "~a 0", ParseError, "an action must be followed by '.' or ':'", 1, 4),
     ("process", "a.~b", ParseError, "an action must be followed by '.' or ':'", 1, 5),
     ("process", "[a#1] 0", ParseError, "a running prefix must be followed by '.' or ':'", 1, 7),
@@ -254,6 +257,13 @@ def test_parse_errors_keep_their_class_message_and_position(reader, text, error,
     assert type(err.value) is error
     assert str(err.value) == f"{line}:{column}: {message}"
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_an_identifier_longer_than_int_reads_is_a_parse_error():
+    # int() refuses literals past 4,300 digits, so the parser compares lengths first
+    with pytest.raises(ParseError) as err:
+        parse_process(f"[a#{'9' * 5000}].0")
+    assert str(err.value) == "1:4: running-action identifiers stop at 65536"
 
 
 def test_any_depth_parses_at_the_default_recursion_limit():
@@ -451,7 +461,8 @@ def _fields_preorder(term):
     return nodes
 
 
-@given(st.one_of(strategies.configurations, strategies.pure_terms))
+@given(st.one_of(strategies.configurations, strategies.wide_configurations,
+                 strategies.pure_terms))
 def test_traversal_agrees_with_independent_views(config):
     walked = list(subterms(config))
     assert [id(t) for t in walked] == [id(t) for t in _fields_preorder(config)]
@@ -596,11 +607,12 @@ def test_ill_formed_constructions_raise_every_time():
                               IllFormedPlacement),
                              (lambda: PrefixConserve(TAU, NIL), TauInPrefix),
                              (lambda: FrozenConsume(A, 0, NIL), ValueError),
+                             (lambda: FrozenConserve(A, syntax.MAX_IDENT + 1, NIL), ValueError),
                              (lambda: Action(None, True), ValueError)):
             with pytest.raises(error) as info:
                 build()
             raised.append(info)
-    assert len(raised) == 8
+    assert len(raised) == 10
 
 
 def test_the_intern_table_keeps_no_term_alive():
