@@ -198,7 +198,7 @@ def cmd_replay(args, out: TextIO) -> int:
     configs, labels = [], []
     for n, line in lines:
         try:
-            record = json.loads(line)
+            record = json.loads(line.rstrip())  # an error at the end stays on this line
         except json.JSONDecodeError as exc:
             raise ParseError(f"transcript record is not JSON: {exc.msg}", n, exc.colno) from None
         if not isinstance(record, dict) or not isinstance(record.get("config"), str):
@@ -207,7 +207,10 @@ def cmd_replay(args, out: TextIO) -> int:
         if ("label" in record) == last:
             raise ParseError("transcript record carries a label but has no successor" if last
                              else "transcript record has a successor but no label", n)
-        configs.append(parse_process(record["config"]))
+        try:
+            configs.append(parse_process(record["config"]))
+        except ParseError as exc:  # the transcript line, then the place in the config
+            raise ParseError(f"transcript record's config does not parse: {exc}", n) from None
         labels.append(record.get("label"))
     current = configs[0]
     for i, (wanted, target) in enumerate(zip(labels, configs[1:])):

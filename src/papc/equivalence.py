@@ -21,11 +21,13 @@ size.  A space not derived in full is played to ``max_depth`` and explored
 past it only while it fits within ``max_states``: ``not-bisimilar`` (with a
 witness) or ``unknown``, never a guess.
 
-The explorer keeps each state's transitions in derivation order and never
-sorts them: refinement compares sets.  Only the witness reader orders
-transitions, those of the states its line visits.  The explorer derives
-through one memo per check, dropped with it, as its entries depend on the
-definitions; ``verify_witness`` derives without one.
+The explorer numbers the states it discovers and keeps each state's steps
+as ints only (label number and state numbers) in derivation order, never
+sorted: refinement compares sets.  It keeps no transitions, so the witness
+reader derives again the states its line visits, and it alone orders their
+transitions.  The explorer derives through one memo per check, dropped with
+it, as its entries depend on the definitions; ``verify_witness`` derives
+without one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -122,10 +123,18 @@ class Verdict:
 class _Explorer:
     """Breadth-first exploration of the joint space from the roots.
 
-    ``level`` maps every known state, in discovery order, to its distance
-    from the nearest root; ``steps`` holds the transitions of every expanded
-    state in derivation order.  Each call resumes where the last stopped.
-    ``memo`` holds what shared subterms derive under ``defs``, for this check.
+    ``states`` lists every known state in discovery order, which numbers
+    them; ``index`` maps a state to its number, and ``level[i]`` is state
+    ``i``'s distance from the nearest root.  ``steps[i]`` holds the steps of
+    expanded state ``i`` in derivation order, as ints only: ``(label, target)``,
+    or ``(label, continuation, target)`` for a conservative completion, whose
+    label is its matched fields (identifier, action, demanded set).
+    ``labels`` numbers labels for this check in the order first seen.  A
+    preemptive completion's label equals the matched fields of a
+    conservative one with the same identifier, action and demanded set, so
+    both get one number; their steps still differ in length.  Each call
+    resumes where the last stopped.  ``memo`` holds what shared subterms
+    derive under ``defs``, for this check.
 
     Derivation order is fixed by the terms alone, so discovery order is
     too, but it is not the sorted order.  No verdict, detail or witness
@@ -145,25 +154,46 @@ class _Explorer:
     def __init__(self, roots: Iterable[Term], defs: Definitions):
         self.defs = defs
         self.memo: dict = {}
-        self.level: dict[Term, int] = dict.fromkeys(roots, 0)
-        self.steps: dict[Term, tuple[Transition, ...]] = {}
-        self.queue = deque(self.level)
+        self.states: list[Term] = list(dict.fromkeys(roots))
+        self.index: dict[Term, int] = {s: i for i, s in enumerate(self.states)}
+        self.level: list[int] = [0] * len(self.states)
+        self.steps: list[tuple[tuple[int, ...], ...]] = []
+        self.labels: dict[tuple, int] = {}
 
     def expand(self, max_level: float, limit: int) -> bool:
-        """Derive the transitions of every state up to ``max_level``,
-        stopping once more than ``limit`` states are known; false if so."""
-        queue, level = self.queue, self.level
-        while queue and level[queue[0]] <= max_level and len(level) <= limit:
-            state = queue.popleft()
-            steps = all_steps(state, self.defs, self.memo)
-            self.steps[state] = steps
-            below = level[state] + 1
-            for t in steps:
-                for succ in _after(t):
-                    if succ not in level:
-                        level[succ] = below
-                        queue.append(succ)
-        return len(level) <= limit
+        """Derive the steps of every state up to ``max_level``, stopping once
+        more than ``limit`` states are known; false if so."""
+        states, index, level, steps, labels = (self.states, self.index, self.level, self.steps,
+                                               self.labels)
+        i, known = len(steps), len(states)
+        while i < known and level[i] <= max_level and known <= limit:
+            below = level[i] + 1
+            row = []
+            for t in all_steps(states[i], self.defs, self.memo):
+                target, label = t.target, t.label
+                n = index.setdefault(target, known)
+                if n == known:
+                    states.append(target)
+                    level.append(below)
+                    known += 1
+                if isinstance(label, CompleteConservative):
+                    c = index.setdefault(label.continuation, known)
+                    if c == known:
+                        states.append(label.continuation)
+                        level.append(below)
+                        known += 1
+                    row.append((labels.setdefault(label[:3], len(labels)), c, n))
+                else:
+                    row.append((labels.setdefault(label, len(labels)), n))
+            steps.append(tuple(row))
+            i += 1
+        return known <= limit
+
+    def transitions(self, i: int) -> list[tuple[Transition, tuple[int, ...]]]:
+        """State ``i``'s transitions, derived again, each with its step, in
+        ``transition_sort_key`` order."""
+        derived = all_steps(self.states[i], self.defs, self.memo)
+        return sorted(zip(derived, self.steps[i]), key=lambda pair: transition_sort_key(pair[0]))
 
 
 def _after(t: Transition) -> tuple[Term, ...]:
@@ -174,37 +204,36 @@ def _after(t: Transition) -> tuple[Term, ...]:
     return (t.target,)
 
 
-def _item(t: Transition, blocks: dict[Term, int]) -> tuple:
-    """A transition's part of its source's signature: its label and target
-    block, or for a conservative completion the matched label fields
-    (identifier, action, demanded set) and the continuation and target blocks."""
-    label = t.label
-    if isinstance(label, CompleteConservative):
-        return (label[:3], blocks[label.continuation], blocks[t.target])
-    return (label, blocks[t.target])
+def _item(step: tuple[int, ...], blocks: list[int]) -> tuple[int, ...]:
+    """A step's part of its source's signature: its label number and the
+    blocks of the states it leads to."""
+    if len(step) == 2:
+        return (step[0], blocks[step[1]])
+    return (step[0], blocks[step[1]], blocks[step[2]])
 
 
 def _extend(explorer: _Explorer, history: list, keys: list, depth: int, exact: bool) -> bool:
-    """Add round ``depth`` to the refinement history: ``history[r]`` maps
-    states to round-``r`` blocks, and ``keys[r]`` numbers round ``r``'s
+    """Add round ``depth`` to the refinement history: ``history[r][i]`` is
+    state ``i``'s round-``r`` block, and ``keys[r]`` numbers round ``r``'s
     signatures, a state's block plus its set of items.
 
     Round ``r`` covers the states at most ``depth - r`` levels from the
     roots, all that a ``depth``-move game reaches, or every state when
-    ``exact``; then true as soon as a round splits no block: the fixpoint.
-    Levels never decrease along discovery order, so each round signs only
-    the states past those it signed at a smaller depth.
+    ``exact``; round 0, one block, covers every known state.  Then true as
+    soon as a round splits no block: the fixpoint.  Levels never decrease
+    along discovery order, so each round signs only the states past those
+    it signed at a smaller depth.
     """
-    states = list(explorer.level)
-    steps = explorer.steps
-    history.append({})
+    level, steps = explorer.level, explorer.steps
+    history[0].extend([0] * (len(level) - len(history[0])))
+    history.append([])
     keys.append({})
     for r in range(1, depth + 1):
         blocks, signed, numbers = history[r - 1], history[r], keys[r]
-        reach = len(states) if exact else bisect_right(states, depth - r, key=explorer.level.get)
-        for s in states[len(signed):reach]:
-            signed[s] = numbers.setdefault(
-                (blocks[s], frozenset([_item(t, blocks) for t in steps[s]])), len(numbers))
+        reach = len(level) if exact else bisect_right(level, depth - r)
+        for i in range(len(signed), reach):
+            signed.append(numbers.setdefault(
+                (blocks[i], frozenset([_item(step, blocks) for step in steps[i]])), len(numbers)))
         if exact and len(numbers) == len(keys[r - 1]):
             return True
     return False
@@ -232,9 +261,9 @@ def _pairs_after(move: Transition, response: Transition):
     return list(zip(("target", "continuation"), _after(move), _after(response)))
 
 
-def _distinguished(left: Term, right: Term, steps: dict, history: list) -> Verdict:
-    """The verdict on a pair the refinement split, with a distinguishing line
-    read off the refinement history (Cleaveland,
+def _distinguished(left: int, right: int, explorer: _Explorer, history: list) -> Verdict:
+    """The verdict on a pair of states the refinement split, with a
+    distinguishing line read off the refinement history (Cleaveland,
     "On automatically explaining bisimulation inequivalence", CAV 1990).
 
     A pair first split in round ``k`` differs in its round ``k-1``
@@ -244,30 +273,34 @@ def _distinguished(left: Term, right: Term, steps: dict, history: list) -> Verdi
     whose pairs split earlier, and the line follows the first of its pairs
     split in round ``k-1``.  The line therefore has exactly ``k`` steps, and
     "left" always descends from the original left configuration.
-    Moves and responses are tried in ``transition_sort_key`` order, so only
-    the two states of each step are sorted.
+    The explorer keeps no transitions, so the two states of each step are
+    derived again, and their moves and responses are tried in
+    ``transition_sort_key`` order.
     """
     depth = k = next(r for r, blocks in enumerate(history) if blocks[left] != blocks[right])
+    index = explorer.index
     line: list[WitnessStep] = []
     while True:
         blocks = history[k - 1]
-        ordered = {s: sorted(steps[s], key=transition_sort_key) for s in (left, right)}
+        derived = {i: explorer.transitions(i) for i in (left, right)}
         for side, attacker, defender in (("left", left, right), ("right", right, left)):
-            answers = {_item(t, blocks) for t in steps[defender]}
-            move = next((t for t in ordered[attacker] if _item(t, blocks) not in answers), None)
+            answers = {_item(step, blocks) for _, step in derived[defender]}
+            move = next((t for t, step in derived[attacker]
+                         if _item(step, blocks) not in answers), None)
             if move is not None:
                 break
-        responses = _matching_responses(move, ordered[defender])
+        responses = _matching_responses(move, [t for t, _ in derived[defender]])
         if not responses:
             line.append(WitnessStep(side, move, None, None))
             return Verdict(NOT_BISIMILAR, witness=tuple(line),
                            detail=f"distinguished at game depth {depth}")
         before = history[k - 2]
-        response = next(t for t in responses
-                        if all(before[a] == before[b] for _, a, b in _pairs_after(move, t)))
-        follow, a, b = next(p for p in _pairs_after(move, response) if blocks[p[1]] != blocks[p[2]])
+        response = next(t for t in responses if all(before[index[a]] == before[index[b]]
+                                                    for _, a, b in _pairs_after(move, t)))
+        follow, a, b = next(p for p in _pairs_after(move, response)
+                            if blocks[index[p[1]]] != blocks[index[p[2]]])
         line.append(WitnessStep(side, move, response, follow))
-        left, right = (a, b) if side == "left" else (b, a)
+        left, right = (index[a], index[b]) if side == "left" else (index[b], index[a])
         k -= 1
 
 
@@ -298,7 +331,7 @@ def bisimilar(
     if left == right:
         return Verdict(BISIMILAR, detail="identical configurations")
     explorer = _Explorer((left, right), defs)
-    history, keys = [defaultdict(int)], [{(): 0}]  # round 0: one block
+    history, keys = [[]], [{(): 0}]  # round 0: one block
     limit = bounds.max_states * 64
     for depth in itertools.count(1):
         if depth > bounds.max_depth:
@@ -307,12 +340,12 @@ def bisimilar(
         elif not explorer.expand(depth - 1, limit):
             return Verdict(UNKNOWN, detail=(f"game budget exhausted: more than {limit} joint "
                                             f"states known before a difference was found"))
-        exact = not explorer.queue
+        exact = len(explorer.steps) == len(explorer.states)
         # no earlier round split the roots, so the fixpoint holds them in one block
         if _extend(explorer, history, keys, depth, exact):
-            return Verdict(BISIMILAR, detail=f"exact over {len(explorer.level)} joint states")
-        if history[-1][left] != history[-1][right]:
-            return _distinguished(left, right, explorer.steps, history)
+            return Verdict(BISIMILAR, detail=f"exact over {len(explorer.states)} joint states")
+        if history[-1][0] != history[-1][1]:  # the roots, numbered 0 and 1
+            return _distinguished(0, 1, explorer, history)
     return Verdict(UNKNOWN, detail=(f"joint space exceeds {bounds.max_states} states and the "
                                     f"game found no difference within depth {bounds.max_depth}"))
 
@@ -435,8 +468,10 @@ class CongruenceFinding:
 class CongruenceReport:
     """Result of searching for congruence violations on verified pairs.
 
-    Any counterexample means an engine bug: bisimilarity is preserved by
-    every operator of the calculus.
+    A counterexample is a finding, not a known engine bug: no proof that
+    every operator of the calculus preserves bisimilarity is at hand.  Check
+    each against ``tests/bisim_oracle.py``, which tells an engine fault from
+    a context that really separates the pair.
     """
 
     verified_pairs: int

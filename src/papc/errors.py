@@ -10,10 +10,12 @@ class ComplementOfTau(PapcError):
 
 
 class ParseError(PapcError):
-    """Malformed concrete syntax, with source position."""
+    """Malformed concrete syntax, with source position: a line, and a column
+    counted from 1 where one is known."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(f"{line}:{column}: {message}" if line else message)
+        position = f"{line}:{column}" if column else f"{line}"
+        super().__init__(f"{position}: {message}" if line else message)
         self.line = line
         self.column = column
 

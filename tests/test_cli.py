@@ -468,6 +468,9 @@ def test_replay_detects_a_forged_step(tmp_path):
     (['{"config": "C | A | B", "label": "H 1 tau+"}'], "no successor"),
     (['{"config": "C | A | B"}',
       '{"config": "[a#1].(C | C) + g:P | [~a#1].(A | A) | B"}'], "no label"),
+    # the transcript line, then the position inside the config
+    (['{"config": "C | A | B", "label": "H 1 tau+"}', "", '{"config": "C | A | (B"}'],
+     "error: 3: transcript record's config does not parse: 1:11: expected ')'"),
 ])
 def test_replay_rejects_malformed_transcripts(tmp_path, capsys, lines, message):
     transcript = tmp_path / "bad.jsonl"
@@ -476,3 +479,4 @@ def test_replay_rejects_malformed_transcripts(tmp_path, capsys, lines, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert ":0:" not in err  # no column is printed where none is known

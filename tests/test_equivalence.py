@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import os
 import random
@@ -45,6 +46,22 @@ SMALL = Bounds(max_states=60, max_depth=6)
 ROOMY = Bounds(max_states=400, max_depth=10)
 
 
+@pytest.fixture
+def explorers(monkeypatch):
+    """The explorers that bisimilar creates while the test runs."""
+    import papc.equivalence as eq
+
+    made = []
+
+    class Recorded(_Explorer):
+        def __init__(self, roots, defs):
+            super().__init__(roots, defs)
+            made.append(self)
+
+    monkeypatch.setattr(eq, "_Explorer", Recorded)
+    return made
+
+
 # ---------------------------------------------------------------------------
 # the flagship inequivalence: consuming vs conserving replication
 
@@ -77,29 +94,29 @@ def test_replicator_witness_is_cp_versus_cc():
     assert verify_witness(p, q, verdict.witness, REPLICATOR_DEFS)
 
 
-def test_the_explorer_derives_through_the_module_name(monkeypatch):
+def test_the_explorer_derives_through_the_module_name(monkeypatch, explorers):
     # a tracer that wraps equivalence.all_steps sees one call per expanded
-    # joint state
+    # joint state, then one per state the witness reads
     import papc.equivalence as eq
 
-    calls, memos, explorers = [], [], []
+    calls, memos = [], []
 
     def counted(config, defs, *memo):
         calls.append(config)
         memos.append(memo)
         return all_steps(config, defs, *memo)
 
-    class Recorded(_Explorer):
-        def __init__(self, roots, defs):
-            super().__init__(roots, defs)
-            explorers.append(self)
-
     monkeypatch.setattr(eq, "all_steps", counted)
-    monkeypatch.setattr(eq, "_Explorer", Recorded)
     p, q = parse_process("a.(C1 | C1)"), parse_process("a:C2")
-    assert bisimilar(p, q, REPLICATOR_DEFS, SMALL).outcome == NOT_BISIMILAR
+    verdict = bisimilar(p, q, REPLICATOR_DEFS, SMALL)
+    assert verdict.outcome == NOT_BISIMILAR
     [explorer] = explorers
-    assert calls == list(explorer.steps) and len(calls) > 2
+    expanded = len(explorer.steps)
+    assert calls[:expanded] == explorer.states[:expanded] and expanded > 2
+    # then the witness derives the two states of each of its steps again
+    read = calls[expanded:]
+    assert len(read) == 2 * len(verdict.witness) and set(read) <= set(calls[:expanded])
+    assert all(step.move.source in read[2 * j:2 * j + 2] for j, step in enumerate(verdict.witness))
     # every derivation of the check shares one memo
     [memo] = memos[0]
     assert isinstance(memo, dict) and all(len(m) == 1 and m[0] is memo for m in memos)
@@ -212,7 +229,7 @@ for defs, left, right, max_states in (
     print(verdict.outcome, verdict.detail)
     for step in verdict.witness:
         print(step.describe())
-    print(len(explorers[-1].level), *map(format_term, explorers[-1].level), sep="\\n")
+    print(len(explorers[-1].states), *map(format_term, explorers[-1].states), sep="\\n")
 """
 
 
@@ -228,24 +245,31 @@ def test_verdicts_and_discovery_order_are_identical_across_processes():
     assert "not-bisimilar distinguished at game depth 2" in lines
 
 
-def test_the_game_derives_only_the_levels_it_reads(monkeypatch):
+def test_the_game_derives_only_the_levels_it_reads(explorers):
     # the replicators split at game depth 2, so only the states at most one
     # move from the roots are derived, although the space exceeds max_states
-    import papc.equivalence as eq
-
-    explorers = []
-
-    class Recorded(_Explorer):
-        def __init__(self, roots, defs):
-            super().__init__(roots, defs)
-            explorers.append(self)
-
-    monkeypatch.setattr(eq, "_Explorer", Recorded)
     verdict = bisimilar(parse_process("C1"), parse_process("C2"), REPLICATOR_DEFS,
                         Bounds(max_states=20))
     assert len(verdict.witness) == 2
     [explorer] = explorers
-    assert list(explorer.steps) == [s for s, d in explorer.level.items() if d <= 1]
+    expanded = explorer.states[:len(explorer.steps)]
+    assert expanded == [s for s, d in zip(explorer.states, explorer.level) if d <= 1]
+
+
+def test_a_finished_explorer_stores_no_step_the_collector_tracks(explorers):
+    # steps hold ints only, so the collector untracks them and no longer
+    # rescans them on every full collection
+    p, q = parse_process("a:b.0 | C1"), parse_process("a:c.0 | C1")
+    assert bisimilar(p, q, REPLICATOR_DEFS, SMALL).outcome == NOT_BISIMILAR
+    [explorer] = explorers
+    assert explorer.steps and any(len(step) == 3 for row in explorer.steps for step in row)
+    gc.collect()
+    assert not any(gc.is_tracked(step) for row in explorer.steps for step in row)
+    # a collection untracks a tuple once its items are untracked, and it
+    # reaches a state's row before the step tuples in it, so the rows go in
+    # the next one
+    gc.collect()
+    assert not any(map(gc.is_tracked, explorer.steps))
 
 
 def test_a_system_step_mode_is_refused():
