@@ -373,13 +373,12 @@ def _h(config: Term, defs: Definitions, unfolding: tuple[str, ...], memo: Memo |
         # complementary starts couple into one tau start with a shared
         # identifier fresh for the whole composite
         for lid, laction, ltarget in left_steps:
-            if laction.is_tau:
+            if laction is TAU:
                 continue
-            # the complement if it is live, else its stand-in, which equals no
-            # derived action; either way no action is made
-            partner = Action.find(laction.name, not laction.complemented)
+            # a named action holds its complement: no lookup, no action made
+            partner = laction.partner
             for rid, raction, rtarget in right_steps:
-                if raction == partner:
+                if raction is partner:
                     fresh = _fresh(config)
                     out[fresh, TAU, make(_rename(ltarget, lid, fresh, find),
                                          _rename(rtarget, rid, fresh, find))] = None
@@ -560,21 +559,21 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
                        make(other, target) if flip else make(target, other)] = None
         # coupled preemptive completions: shared demands cancel out
         for lident, laction, ldem, ltarget in cp_left:
-            if laction.is_tau:
+            if laction is TAU:
                 continue
-            partner = Action.find(laction.name, not laction.complemented)
+            partner = laction.partner
             for rident, raction, rdem, rtarget in cp_right:
                 visible = ldem ^ rdem
-                if rident == lident and raction == partner and not visible & ~outer:
+                if rident == lident and raction is partner and not visible & ~outer:
                     cp[lident, TAU, visible, make(ltarget, rtarget)] = None
         # coupled conservative completions with nothing demanded: both
         # continuations land in parallel at this level
         for lident, laction, ldem, lcont, ltarget in cc_left:
             if ldem:
                 continue
-            partner = Action.find(laction.name, not laction.complemented)
+            partner = laction.partner  # None for tau, which matches no action
             for rident, raction, rdem, rcont, rtarget in cc_right:
-                if rident == lident and raction == partner and not rdem:
+                if rident == lident and raction is partner and not rdem:
                     cp[lident, TAU, 0,
                        make(make(make(ltarget, rtarget), lcont), rcont)] = None
         # mixed coupling: the conservative side's demands must all be covered by
@@ -582,9 +581,9 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
         # the budget
         for this_cc, other_cp, flip in ((cc_left, cp_right, False), (cc_right, cp_left, True)):
             for ident, action, cdem, cont, ctarget in this_cc:
-                partner = Action.find(action.name, not action.complemented)
+                partner = action.partner
                 for pident, paction, pdem, ptarget in other_cp:
-                    if (pident == ident and paction == partner and not cdem & ~pdem
+                    if (pident == ident and paction is partner and not cdem & ~pdem
                             and not pdem & ~(outer | cdem)):
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
                         cp[ident, TAU, pdem & ~cdem, make(pair, cont)] = None
@@ -615,20 +614,25 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
     # a stand-in is never looked up there, as every known target is live.
     # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
     # label class or Transition overrides it: this builds the same values in C.
-    kept = steps if known is None else [step for step in steps
-                                        if type(step[-1]) is not tuple and step[-1] in known]
-    if not kept:
-        return (None,) * len(steps)
+    if not steps:
+        return ()
     new = tuple.__new__
+    transitions = []
     if label_class is CompleteConservative:  # never shared, see _shared_labels
-        transitions = [new(Transition, (source, new(label_class, (l, a, _set_of(n), cont)), target))
-                       for l, a, n, cont, target in kept]
+        for l, a, n, cont, target in steps:
+            if known is None or type(target) is not tuple and target in known:
+                label = new(label_class, (l, a, _set_of(n), cont))
+                transitions.append(new(Transition, (source, label, target)))
     else:
         get = _step_labels.get
-        transitions = [
-            new(Transition, (source, (get(step[:-1]) or _new_label(label_class, step[:-1]))[0], step[-1]))
-            for step in kept]
-    return tuple(transitions) + (None,) * (len(steps) - len(kept))
+        for step in steps:
+            target = step[-1]
+            if known is None or type(target) is not tuple and target in known:
+                entry = get(step[:-1]) or _new_label(label_class, step[:-1])
+                transitions.append(new(Transition, (source, entry[0], target)))
+    if known is not None:
+        transitions += [None] * (len(steps) - len(transitions))
+    return tuple(transitions)
 
 
 def handshake_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: Memo | None = None,

@@ -97,11 +97,15 @@ __all__ = [
 #
 # A constructor is ``__new__`` itself: lookup, ``_init`` to check and set the
 # fields, then the ``_made`` count and the entry, so a construction that raises
-# changes neither.  ``Sum`` and ``Par``, most of the nodes a derivation builds,
-# set theirs in ``_Binary.__new__``: one frame.  ``make`` is that ``__new__``
-# bound to its class: ``Sum.make(p, q) is Sum(p, q)`` without the class call's
-# ``type.__call__`` layer.  Derivation and parsing call it; class calls still
-# work everywhere else.
+# changes neither.  A named action and its complement are made together, the
+# complement once the action's own fields have passed the checks, and each
+# links the other as ``partner``, so while one is live so is the other.  The
+# pair is a reference cycle, which the cyclic collector frees: the table's
+# weak references keep neither alive.  ``Sum`` and ``Par``, most of the nodes
+# a derivation builds, set theirs in ``_Binary.__new__``: one frame.  ``make``
+# is that ``__new__`` bound to its class: ``Sum.make(p, q) is Sum(p, q)``
+# without the class call's ``type.__call__`` layer.  Derivation and parsing
+# call it; class calls still work everywhere else.
 
 
 class _Ref(weakref.ref):
@@ -158,14 +162,22 @@ class Action(_Interned):
 
     ``name is None`` encodes tau, which carries no polarity and cannot be
     complemented.  Actions are interned: they compare and hash by identity.
+    A named action is made together with its complement, and each holds the
+    other as ``partner``, so coupling compares ``partner`` by identity and
+    looks nothing up; ``TAU.partner`` is None.  ``partner`` is a slot, not a
+    field: it takes no part in construction, copying or ``repr``.
     """
 
-    __slots__ = ("name", "complemented")
+    __slots__ = ("name", "complemented", "partner")
     name: Optional[str]
     complemented: bool
 
     def __new__(cls, name: Optional[str], complemented: bool = False) -> Action:
-        return super().__new__(cls, name, complemented)
+        action = super().__new__(cls, name, complemented)
+        if action.partner is None and name is not None:  # new: make its complement too
+            action.partner = super().__new__(cls, name, not complemented)
+            action.partner.partner = action
+        return action
 
     make = classmethod(__new__)
 
@@ -174,7 +186,7 @@ class Action(_Interned):
             _check_name(name)
         elif complemented:
             raise ValueError("tau has no complemented form")
-        self.name, self.complemented = name, complemented
+        self.name, self.complemented, self.partner = name, complemented, None
 
     @property
     def is_tau(self) -> bool:

@@ -644,6 +644,41 @@ def test_a_start_renamed_on_its_way_up_reaches_a_known_target_through_a_dead_nod
     assert steps.count(None) == 1  # the start of sb
 
 
+# cell-model states with starts in several components, and a mixed
+# conservative/preemptive coupling beside coupled completions of both kinds
+_COUPLING_HEAVY = [
+    "C | A | B | C | A | B",
+    "[a#1].(C | C) + g:P | [~a#1].(A | A) | B | C | A | B",
+    "[a#1].(C | C) + [g#2]:P | [~a#1].(A | A) | [~g#2]:0 | C | A",
+    "[a#1]:C + g.0 | [~a#1].A | [g#2].0 | [~g#2]:B | C | A | B",
+]
+
+
+def test_coupling_looks_no_action_up(monkeypatch):
+    configs = [parse_process(text) for text in _COUPLING_HEAVY]
+    expected = {}
+    for config in configs:
+        for derive in (all_steps, system_steps):
+            full = derive(config, DEFS)
+            known = {t.target for t in full[::2]}
+            expected[config, derive] = full, known, derive(config, DEFS, {}, known)
+
+    def coupled(config, kind):
+        return any(isinstance(t.label, kind) and t.label.action is TAU
+                   for t in expected[config, all_steps][0])
+    assert all(coupled(config, Handshake) for config in configs)
+    assert all(coupled(config, CompletePreemptive) for config in configs[2:])
+
+    def find(*fields):
+        raise AssertionError(f"Action.find{fields} during a derivation")
+
+    monkeypatch.setattr(syntax.Action, "find", find)
+    for (config, derive), (full, known, kept) in expected.items():
+        assert derive(config, DEFS) == full and derive(config, DEFS, {}) == full
+        assert derive(config, DEFS, {}, known) == kept
+        assert any(t is None for t in kept) and any(t is not None for t in kept)
+
+
 def _term_keys():
     return {key for key in syntax._TABLE if issubclass(key[0], Term)}
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gen
 import oracle
 import strategies
 from gen import random_configuration
@@ -437,9 +438,63 @@ def test_a_printed_prefix_chain_holds_text_in_proportion_to_its_length():
     assert held <= 2 * len(printed)
 
 
+# ``complement`` builds the complement by name, as the oracles that call it
+# must not share the engine's links; the two must agree on every action the
+# generators draw.
 @given(strategies.actions)
 def test_complement_involution_property(action):
     assert complement(complement(action)) == action
+    assert complement(action) is action.partner
+
+
+def test_a_named_action_and_its_complement_link_each_other():
+    a = Action("a")
+    assert a.partner is Action("a", True) and a.partner.partner is a
+    assert Action("a", True).partner is a
+    assert TAU.partner is None
+    for action in (a, a.partner, TAU):
+        assert copy.deepcopy(action) is action and copy.copy(action) is action
+        assert pickle.loads(pickle.dumps(action)) is action
+        assert pickle.loads(pickle.dumps(action)).partner is action.partner
+
+
+def test_the_link_is_no_dataclass_field():
+    # a ``partner`` field would recurse through the pair in ``repr``
+    assert [f.name for f in dataclasses.fields(Action)] == ["name", "complemented"]
+    assert repr(Action("a")) == "Action(name='a', complemented=False)"
+    assert repr(Action("a", True)) == "Action(name='a', complemented=True)"
+    assert repr(TAU) == "Action(name=None, complemented=False)"
+
+
+def test_a_new_name_enters_the_linked_pair_and_a_failed_one_enters_nothing():
+    name = "linked_pair"  # no other test builds on it
+    gc.collect()
+    gc.disable()  # no collection may drop a table entry between the snapshots
+    try:
+        table, made = dict(syntax._TABLE), syntax._made
+        for args in (("tau",), ("tau", True), (None, True)):
+            with pytest.raises(ValueError):
+                Action(*args)
+            assert syntax._TABLE == table and syntax._made == made
+        assert Action.find(name, False) == (Action, name, False)
+        action = Action(name, True)
+        assert syntax._made == made + 2 and len(syntax._TABLE) == len(table) + 2
+        assert Action.find(name, False) is action.partner and not action.partner.complemented
+    finally:
+        gc.enable()
+    del action
+    gc.collect()  # the pair is a reference cycle: the collector frees both
+    assert Action.find(name, False) == (Action, name, False)
+    assert Action.find(name, True) == (Action, name, True)
+
+
+def test_complement_is_the_partner_on_every_generated_action():
+    rng = random.Random(29)
+    drawn = [gen.random_action(rng) for _ in range(200)]
+    assert {(a.name, a.complemented) for a in drawn} == {
+        (name, polarity) for name in gen.ACTION_NAMES for polarity in (False, True)}
+    for action in drawn:
+        assert complement(action) is action.partner
 
 
 # ---------------------------------------------------------------------------
