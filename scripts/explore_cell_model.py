@@ -8,10 +8,11 @@ budget.
 """
 
 import argparse
+from collections import Counter
 from pathlib import Path
 
 from papc.cli import load_model
-from papc.lts import Bounds, build, stats
+from papc.lts import Bounds, build
 from papc.semantics import label_text, system_steps, transition_sort_key
 from papc.syntax import format_term
 
@@ -45,10 +46,10 @@ def main() -> None:
     for max_states in (10, 100, 1000, 5000):
         lts = build(root, model.definitions,
                     Bounds(max_states=max_states, max_depth=64))
-        s = stats(lts)
-        print(f"  budget {max_states:>5}: {s.states:>5} states, {s.edges:>6} edges "
-              f"(H {s.h_edges}, I {s.i_edges}, CP {s.cp_edges}, CC {s.cc_edges}), "
-              f"{s.truncated} truncated")
+        edges = Counter(relation for _, _, relation, _ in lts.edges)
+        print(f"  budget {max_states:>5}: {len(lts.states):>5} states, {len(lts.edges):>6} edges "
+              f"(H {edges['H']}, I {edges['I']}, CP {edges['CP']}, CC {edges['CC']}), "
+              f"{len(lts.truncated)} truncated")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from .errors import (
     PapcError,
     ParseError,
     TauInPrefix,
-    UnboundConstant,
     UnguardedRecursion,
 )
 from .syntax import (
@@ -51,9 +50,9 @@ from .semantics import (
     Label,
     Transition,
     label_text,
+    transition_sort_key,
     actions_at,
     rename_id,
-    fresh_id,
     handshake_steps,
     interrupt_steps,
     preemptive_completions,
@@ -62,7 +61,7 @@ from .semantics import (
     is_system_step,
     system_steps,
 )
-from .lts import Bounds, Lts, LtsStats, build, export, stats
+from .lts import Bounds, Lts, build, export
 from .equivalence import (
     Verdict,
     WitnessStep,

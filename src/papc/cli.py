@@ -20,12 +20,13 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from .errors import CapExceeded, NoRoot, PapcError, ParseError, UsageError
 from .equivalence import NOT_BISIMILAR, UNKNOWN, bisimilar
-from .lts import Bounds, build, export, stats
+from .lts import Bounds, build, export
 from .parsing import parse_model, parse_process
 from .semantics import all_steps, is_system_step, label_text, system_steps, transition_sort_key
 from .syntax import Definitions, Term, format_term, validate
@@ -80,7 +81,7 @@ def cmd_check(args, out: TextIO) -> int:
         print(f"warning: {message}", file=out)
     if model.root is None:
         print("note: no 'system' entry; commands will need --from", file=out)
-    n = len(model.definitions.names())
+    n = len(model.definitions.bindings)
     print(f"{model.path}: {n} definition(s), "
           f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)", file=out)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -106,11 +107,11 @@ def cmd_lts(args, out: TextIO) -> int:
             handle.write(payload)
     else:
         out.write(payload.decode("utf-8"))
-    s = stats(lts)
+    edges = Counter(relation for _, _, relation, _ in lts.edges)
     print(
-        f"states {s.states}  edges {s.edges} "
-        f"(H {s.h_edges}, I {s.i_edges}, CP {s.cp_edges}, CC {s.cc_edges})  "
-        f"truncated {s.truncated}",
+        f"states {len(lts.states)}  edges {len(lts.edges)} "
+        f"(H {edges['H']}, I {edges['I']}, CP {edges['CP']}, CC {edges['CC']})  "
+        f"truncated {len(lts.truncated)}",
         file=sys.stderr if not args.out else out,
     )
     return EXIT_OK

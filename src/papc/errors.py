@@ -32,10 +32,6 @@ class IdentifierCollision(PapcError):
     """An identifier renaming would merge two distinct running actions."""
 
 
-class UnboundConstant(PapcError):
-    """A constant with no defining equation was looked up."""
-
-
 class UnguardedRecursion(PapcError):
     """A constant unfolded back to itself without passing a prefix."""
 

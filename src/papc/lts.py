@@ -22,7 +22,7 @@ from typing import Literal
 from .semantics import Label, all_steps, label_text, system_steps, transition_sort_key
 from .syntax import Definitions, EMPTY_DEFINITIONS, Term, format_term
 
-__all__ = ["Bounds", "Lts", "LtsStats", "build", "stats", "export"]
+__all__ = ["Bounds", "Lts", "build", "export"]
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,6 @@ class Lts:
     edges: tuple[tuple[int, Label, str, int], ...]
     truncated: frozenset[int]
     bounds: Bounds
-
-
-@dataclass(frozen=True)
-class LtsStats:
-    states: int
-    h_edges: int
-    i_edges: int
-    cp_edges: int
-    cc_edges: int
-    truncated: int
-
-    @property
-    def edges(self) -> int:
-        return self.h_edges + self.i_edges + self.cp_edges + self.cc_edges
 
 
 def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bounds()) -> Lts:
@@ -120,20 +106,6 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
                 queue.append(j)
             edges.append((i, t.label, t.label.relation, j))
     return Lts(tuple(states), tuple(edges), frozenset(truncated), bounds)
-
-
-def stats(lts: Lts) -> LtsStats:
-    counts = {"H": 0, "I": 0, "CP": 0, "CC": 0}
-    for _, _, relation, _ in lts.edges:
-        counts[relation] += 1
-    return LtsStats(
-        states=len(lts.states),
-        h_edges=counts["H"],
-        i_edges=counts["I"],
-        cp_edges=counts["CP"],
-        cc_edges=counts["CC"],
-        truncated=len(lts.truncated),
-    )
 
 
 def _export_aut(lts: Lts) -> bytes:

@@ -76,9 +76,8 @@ Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
 differ in arity, so never compare equal.  Equal H, I and CP labels are one
 object from a bounded table (``_shared_labels``) that prints and orders each
-once, and equal sets in labels are one object from another (``_shared_sets``).
-CC labels hold their continuation, so they are never shared and print and
-order at every call.
+once.  CC labels hold their continuation, so they are never shared and print
+and order at every call; each empty set in a label is the one ``_EMPTY``.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ __all__ = [
     "transition_sort_key",
     "actions_at",
     "rename_id",
-    "fresh_id",
     "handshake_steps",
     "interrupt_steps",
     "preemptive_completions",
@@ -298,15 +296,6 @@ def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Ter
     return make(left, right)
 
 
-def fresh_id(used: Iterable[int]) -> int:
-    """The least positive identifier not in ``used``."""
-    taken = used if isinstance(used, (set, frozenset)) else set(used)
-    i = 1
-    while i in taken:
-        i += 1
-    return i
-
-
 def _fresh(config: Term) -> int:
     # the least identifier unused in ``config``: the lowest clear bit above bit 0
     mask = config.mask | 1
@@ -334,7 +323,7 @@ def _h(config: Term, defs: Definitions, unfolding: tuple[str, ...], memo: Memo |
        top: bool = False, find: bool = False, system: bool = False) -> Iterable[_HStep]:
     """The starts of ``config``; a root frame with ``system`` wraps tau ones only."""
     while isinstance(config, Const):  # a chain of aliases unfolds in a loop
-        body = defs.get(config.name)
+        body = defs.bindings.get(config.name)
         if body is None:
             return ()
         if config.name in unfolding:
@@ -394,29 +383,19 @@ _IStep = tuple[int, Term]  # (the mask of the rolled-back identifiers, target)
 
 _EMPTY: frozenset[int] = frozenset()
 
-# Equal identifier sets in labels are one object from this table, keyed by
-# mask.  A fan-out over n running prefixes may build 2^n sets, so a miss on a
-# full table empties it first.  Sets hold no term, so the table keeps none alive.
-_SHARED_CAP = 1024
-_shared_sets: dict[int, frozenset[int]] = {0: _EMPTY}
-
 
 def _set_of(mask: int) -> frozenset[int]:
-    found = _shared_sets.get(mask)
-    if found is None:
-        if len(_shared_sets) >= _SHARED_CAP:
-            _shared_sets.clear()
-            _shared_sets[0] = _EMPTY  # every empty set stays the one _EMPTY
-        found = _shared_sets[mask] = syntax._bits(mask)
-    return found
+    return syntax._bits(mask) if mask else _EMPTY  # every empty set is the one _EMPTY
 
 
-# Equal H, I and CP labels are one object too, from a table bounded the same
-# way and keyed by the label.  Each entry is ``[label, text, sort key]``, the
-# last two computed on first use, so a label prints and orders once while it
-# stays in the table.  ``_transitions`` finds an entry by the step's fields,
+# Equal H, I and CP labels are one object from this table, keyed by the label.
+# An interrupt fan-out over n running prefixes may build 2^n labels, so a miss
+# on a full table empties it first.  Each entry is ``[label, text, sort key]``,
+# the last two computed on first use, so a label prints and orders once while
+# it stays in the table.  ``_transitions`` finds an entry by the step's fields,
 # masks for sets, in ``_step_labels``, emptied with it.  CC labels never enter:
 # they hold their continuation, which the table would keep alive.
+_SHARED_CAP = 1024
 _shared_labels: dict[Label, list] = {}
 _step_labels: dict[tuple, list] = {}
 
@@ -683,9 +662,9 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
 def is_system_step(t: Transition) -> bool:
     """A closed-system move: a tau start, or a tau completion demanding nothing."""
     if isinstance(t.label, Handshake):
-        return t.label.action.is_tau
+        return t.label.action is TAU
     if isinstance(t.label, CompletePreemptive):
-        return t.label.action.is_tau and not t.label.demanded
+        return t.label.action is TAU and not t.label.demanded
     return False
 
 

@@ -41,7 +41,6 @@ from .errors import (
     IllFormedPlacement,
     ParseError,
     TauInPrefix,
-    UnboundConstant,
 )
 
 __all__ = [
@@ -187,10 +186,6 @@ class Action(_Interned):
         elif complemented:
             raise ValueError("tau has no complemented form")
         self.name, self.complemented, self.partner = name, complemented, None
-
-    @property
-    def is_tau(self) -> bool:
-        return self.name is None
 
     def __str__(self) -> str:
         return format_action(self)
@@ -578,9 +573,10 @@ def format_term(term: Term) -> str:
 class Definitions:
     """Constant defining equations, mapping each name to a plain process body.
 
-    Constants without a binding are allowed: they behave as inert processes
-    (useful for pure product species that never interact again).  A binding
-    name must be one that a ``Const`` can reference.
+    Callers read ``bindings`` directly.  Constants without a binding are
+    allowed: they behave as inert processes (useful for pure product species
+    that never interact again), so a lookup is ``bindings.get(name)``.  A
+    binding name must be one that a ``Const`` can reference.
     """
 
     bindings: Mapping[str, Term]
@@ -591,21 +587,6 @@ class Definitions:
             if not is_process(body):  # completions never unfold a constant
                 raise ValueError(f"the body of {name!r} is not a plain process: "
                                  f"{format_term(body)}")
-
-    def get(self, name: str) -> Optional[Term]:
-        return self.bindings.get(name)
-
-    def body(self, name: str) -> Term:
-        try:
-            return self.bindings[name]
-        except KeyError:
-            raise UnboundConstant(f"no defining equation for constant {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.bindings)
 
 
 EMPTY_DEFINITIONS = Definitions({})
@@ -700,12 +681,12 @@ def validate(defs: Definitions, roots: Iterable[Term] = ()) -> ValidationReport:
     """
     unbound: set[str] = set()
     for body in defs.bindings.values():
-        unbound.update(n for n in constants_of(body) if n not in defs)
+        unbound.update(n for n in constants_of(body) if n not in defs.bindings)
     for root in roots:
-        unbound.update(n for n in constants_of(root) if n not in defs)
+        unbound.update(n for n in constants_of(root) if n not in defs.bindings)
 
     edges = {
-        name: {ref for ref in _unguarded_refs(body) if ref in defs}
+        name: {ref for ref in _unguarded_refs(body) if ref in defs.bindings}
         for name, body in defs.bindings.items()
     }
     bad = _cyclic_edges(edges)

@@ -229,7 +229,7 @@ def test_criterion_5_invariant_suite():
             Sum(right, random_configuration(rng, 2, max_frozen=2)) if rng.random() < 0.5 else right,
         )
         for t in handshake_steps(config, STANDARD_DEFS):
-            if not t.label.action.is_tau:
+            if t.label.action is not TAU:
                 continue
             ident = t.label.ident
             assert ident not in config.ids

@@ -321,6 +321,17 @@ def test_lts_export_to_file_and_stats(tmp_path):
     assert "states 15" in output
 
 
+def test_lts_summary_line(tmp_path, capsys):
+    # the whole line, to the spaces: with --out it goes to the output, else to stderr
+    code, output = run(["lts", PAIR, "--format", "aut", "--out", str(tmp_path / "pair.aut")])
+    assert code == 0
+    assert output == "states 15  edges 62 (H 9, I 32, CP 21, CC 0)  truncated 0\n"
+    code, _ = run(["lts", CELL, "--max-states", "300", "--format", "aut"])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "states 300  edges 2181 (H 508, I 976, CP 462, CC 235)  truncated 197\n")
+
+
 def test_lts_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.aut", tmp_path / "b.aut"
     for path in (a, b):

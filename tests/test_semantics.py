@@ -30,7 +30,6 @@ from papc.semantics import (
     actions_at,
     all_steps,
     conservative_completions,
-    fresh_id,
     handshake_steps,
     interrupt_steps,
     label_text,
@@ -160,12 +159,6 @@ def test_a_term_with_every_identifier_running_derives_while_no_start_needs_one(m
     assert all_steps(config, DEFS, {}) == steps
 
 
-def test_fresh_id():
-    assert fresh_id(frozenset()) == 1
-    assert fresh_id({1, 2}) == 3
-    assert fresh_id({1, 3}) == 2
-
-
 # ---------------------------------------------------------------------------
 # handshakes
 
@@ -240,38 +233,17 @@ def test_interrupt_cap_is_per_component():
         interrupt_steps(parse_process(deep))
 
 
-def test_equal_identifier_sets_of_one_derivation_are_one_object(monkeypatch):
-    # the set table as on import, and label tables holding none of its sets
-    empty = semantics._EMPTY
-    monkeypatch.setattr(semantics, "_shared_sets", {0: empty})
+def test_every_empty_identifier_set_in_a_label_is_the_one_empty_set(monkeypatch):
+    # label tables that hold no label yet, so every I and CP label is made here
     monkeypatch.setattr(semantics, "_shared_labels", {})
     monkeypatch.setattr(semantics, "_step_labels", {})
-    config = parse_process("[a#1].0 | [b#2].0 + c:0 | [~c#3]:0 | [d#4].0")
+    steps = all_steps(parse_process("[a#1].0 | [b#2].0 + c:0 | [~c#3]:0 | [d#4].0"))
+    assert {type(t.label) for t in steps} == {
+        Handshake, Interrupt, CompletePreemptive, CompleteConservative}
     sets = [t.label.idents if isinstance(t.label, Interrupt) else t.label.demanded
-            for t in all_steps(config) if not isinstance(t.label, Handshake)]
-    assert collections.Counter(s for s in sets if s).most_common(1)[0][1] > 1
-    first: dict = {}
-    assert all(first.setdefault(s, s) is s for s in sets)
-    assert first[frozenset()] is empty
-
-
-def test_the_shared_set_table_stays_within_its_cap(monkeypatch):
-    # n one-prefix components derive 2^n > cap interrupt sets at the root
-    # alone, on a table that starts close to full, keyed by masks that no
-    # derivation here makes, and label tables that convert every set
-    cap = semantics._SHARED_CAP
-    n = cap.bit_length()
-    wide = parse_process(" | ".join(f"[a#{i}].0" for i in range(1, n + 1)))
-    monkeypatch.setattr(semantics, "_shared_sets", {1 << i: frozenset([i])
-                                                    for i in range(n + 1, n + 1 + cap - 24)})
-    monkeypatch.setattr(semantics, "_shared_labels", {})
-    monkeypatch.setattr(semantics, "_step_labels", {})
-    steps = interrupt_steps(wide)
-    assert len(steps) == 2 ** n
-    assert len(semantics._shared_sets) <= cap
-    assert semantics._shared_sets[0] is semantics._EMPTY  # entered again on a clear
-    semantics._shared_sets.clear()
-    assert interrupt_steps(wide) == steps
+            for t in steps if not isinstance(t.label, Handshake)]
+    assert any(sets) and not all(sets)
+    assert all(s is semantics._EMPTY for s in sets if not s)
 
 
 _RELATIONS = (handshake_steps, interrupt_steps, preemptive_completions, conservative_completions)
@@ -319,6 +291,7 @@ def test_the_label_table_stays_within_its_cap_under_a_wide_fan_out():
     assert len(semantics._shared_labels) <= semantics._SHARED_CAP
     assert all(_printed_and_ordered_as_uncached(t) for t in steps)
     assert len(semantics._shared_labels) <= semantics._SHARED_CAP
+    assert interrupt_steps(wide) == steps  # through the clears again
 
 
 @pytest.mark.parametrize("derive", [preemptive_completions, conservative_completions])

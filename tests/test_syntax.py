@@ -24,7 +24,6 @@ from papc.errors import (
     IllFormedPlacement,
     ParseError,
     TauInPrefix,
-    UnboundConstant,
 )
 from papc.parsing import parse_context, parse_definitions, parse_model, parse_process
 from papc.syntax import (
@@ -712,19 +711,17 @@ def test_frozen_prefix_rejected_under_prefix():
 
 def test_parse_definitions_bindings():
     defs = parse_definitions("C := a.(C|C) + g:P; A := ~a.(A|A); B := ~g:0;")
-    assert set(defs.names()) == {"C", "A", "B"}
-    assert defs.body("B") == PrefixConserve(Action("g", True), NIL)
+    assert set(defs.bindings) == {"C", "A", "B"}
+    assert defs.bindings["B"] == PrefixConserve(Action("g", True), NIL)
 
 
 def test_parse_definitions_empty():
-    assert parse_definitions("").names() == ()
+    assert parse_definitions("").bindings == {}
 
 
-def test_unbound_lookup_raises():
+def test_an_unbound_constant_has_no_binding():
     defs = parse_definitions("C := a.C;")
-    assert defs.get("P") is None
-    with pytest.raises(UnboundConstant):
-        defs.body("P")
+    assert defs.bindings.get("P") is None
 
 
 def test_duplicate_definition_rejected():
@@ -795,7 +792,7 @@ def test_validate_checks_roots():
 
 def test_parse_model_extracts_system():
     defs, root = parse_model("C := a.C; system := C | C;")
-    assert set(defs.names()) == {"C"}
+    assert set(defs.bindings) == {"C"}
     assert root == Par(Const("C"), Const("C"))
 
 
