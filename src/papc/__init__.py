@@ -29,8 +29,6 @@ from .syntax import (
     Const,
     FrozenConsume,
     FrozenConserve,
-    Hole,
-    HOLE,
     subterms,
     is_process,
     format_term,
@@ -40,7 +38,7 @@ from .syntax import (
     ValidationReport,
     validate,
 )
-from .parsing import parse_context, parse_definitions, parse_model, parse_process
+from .parsing import parse_definitions, parse_model, parse_process
 from .semantics import (
     INTERRUPT_CAP,
     Handshake,
@@ -67,10 +65,6 @@ from .equivalence import (
     WitnessStep,
     bisimilar,
     verify_witness,
-    apply_context,
-    random_context,
-    CongruenceReport,
-    congruence_probe,
 )
 
 __version__ = "0.1.0"

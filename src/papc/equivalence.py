@@ -34,30 +34,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import IllFormedPlacement
 from .lts import Bounds
 from .semantics import CompleteConservative, Transition, all_steps, label_text, transition_sort_key
-from .syntax import (
-    Action,
-    Definitions,
-    EMPTY_DEFINITIONS,
-    HOLE,
-    Hole,
-    NIL,
-    Par,
-    PrefixConserve,
-    PrefixConsume,
-    Sum,
-    Term,
-    action_names_of,
-    check_context,
-    format_term,
-)
+from .syntax import Definitions, EMPTY_DEFINITIONS, Term, format_term
 
 __all__ = [
     "BISIMILAR",
@@ -67,10 +50,6 @@ __all__ = [
     "WitnessStep",
     "bisimilar",
     "verify_witness",
-    "apply_context",
-    "random_context",
-    "CongruenceReport",
-    "congruence_probe",
 ]
 
 BISIMILAR = "bisimilar"
@@ -304,12 +283,6 @@ def _distinguished(left: int, right: int, explorer: _Explorer, history: list) ->
         k -= 1
 
 
-def _check_step_mode(bounds: Bounds) -> None:
-    if bounds.step_mode != "all":
-        raise ValueError(f"bisimilarity compares all transitions, not step mode "
-                         f"{bounds.step_mode!r}")
-
-
 def bisimilar(
     left: Term,
     right: Term,
@@ -327,7 +300,9 @@ def bisimilar(
     Bisimilarity compares every transition, so ``bounds.step_mode`` must be
     ``"all"``; any other mode raises ``ValueError``.
     """
-    _check_step_mode(bounds)
+    if bounds.step_mode != "all":
+        raise ValueError(f"bisimilarity compares all transitions, not step mode "
+                         f"{bounds.step_mode!r}")
     if left == right:
         return Verdict(BISIMILAR, detail="identical configurations")
     explorer = _Explorer((left, right), defs)
@@ -391,153 +366,3 @@ def verify_witness(
             current = {"left": b, "right": a}
     return False  # a witness must end with an unanswered move
 
-
-# ---------------------------------------------------------------------------
-# contexts
-
-
-def apply_context(context: Term, filler: Term) -> Term:
-    """Replace the unique hole of a process-shaped context by ``filler``.
-
-    Raises ParseError on a non-context, and IllFormedPlacement when the filler
-    carries running prefixes under a prefix, where only plain processes fit.
-    """
-    check_context(context)
-    # Depth first down to the hole.  Each stack entry carries its trail, the
-    # linked (parent, child index, parent's trail) path up to the root; only
-    # the nodes on the hole's trail are rebuilt, from the bottom up, so any
-    # depth and width costs no Python frames.
-    stack: list[tuple[Term, Optional[tuple]]] = [(context, None)]
-    while True:
-        node, trail = stack.pop()
-        if isinstance(node, Hole):
-            break
-        stack.extend((child, (node, i, trail)) for i, child in enumerate(node.children()))
-    while trail is not None:
-        node, i, trail = trail
-        children = list(node.children())
-        children[i] = filler
-        filler = node.rebuild(children)
-    return filler
-
-
-def random_context(rng: random.Random, alphabet: Sequence[str], max_depth: int = 3) -> Term:
-    """A random process-shaped context: operators drawn uniformly from sum,
-    parallel and the two prefixes; actions from ``alphabet`` plus polarity;
-    the hole equally likely on either side of each branch."""
-    names = list(alphabet) or ["a"]
-
-    def rand_action() -> Action:
-        return Action(rng.choice(names), rng.random() < 0.5)
-
-    nodes = (Sum, Par, PrefixConsume, PrefixConserve)
-
-    def rand_process(depth: int) -> Term:
-        if depth <= 0 or rng.random() < 0.3:
-            return NIL
-        node = nodes[rng.randrange(4)]
-        if node in (Sum, Par):
-            return node(rand_process(depth - 1), rand_process(depth - 1))
-        return node(rand_action(), rand_process(depth - 1))
-
-    def rand_ctx(depth: int) -> Term:
-        if depth <= 0 or rng.random() < 0.25:
-            return HOLE
-        node = nodes[rng.randrange(4)]
-        if node not in (Sum, Par):
-            return node(rand_action(), rand_ctx(depth - 1))
-        if rng.random() < 0.5:
-            return node(rand_ctx(depth - 1), rand_process(depth - 1))
-        return node(rand_process(depth - 1), rand_ctx(depth - 1))
-
-    return rand_ctx(max_depth)
-
-
-# ---------------------------------------------------------------------------
-# congruence probing
-
-
-@dataclass(frozen=True)
-class CongruenceFinding:
-    pair_index: int
-    context: Term
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Result of searching for congruence violations on verified pairs.
-
-    A counterexample is a finding, not a known engine bug: no proof that
-    every operator of the calculus preserves bisimilarity is at hand.  Check
-    each against ``tests/bisim_oracle.py``, which tells an engine fault from
-    a context that really separates the pair.
-    """
-
-    verified_pairs: int
-    rejected_pairs: tuple[int, ...]
-    contexts_per_pair: int
-    checks: int
-    bisimilar_checks: int
-    unknown_checks: int
-    counterexamples: tuple[CongruenceFinding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def congruence_probe(
-    pairs: Sequence[tuple[Term, Term]],
-    defs: Definitions = EMPTY_DEFINITIONS,
-    n_contexts: int = 25,
-    seed: int = 0,
-    bounds: Bounds = Bounds(),
-) -> CongruenceReport:
-    """Check verified-bisimilar pairs under random contexts.
-
-    Pairs that the engine cannot verify as bisimilar are rejected up front.
-    A filled pair judged not bisimilar is reported as a counterexample;
-    ``unknown`` verdicts are counted but are not counterexamples.  As for
-    `bisimilar`, ``bounds.step_mode`` must be ``"all"``.
-    """
-    _check_step_mode(bounds)
-    rng = random.Random(seed)
-    rejected: list[int] = []
-    verified: list[tuple[int, Term, Term]] = []
-    for i, (p, q) in enumerate(pairs):
-        verdict = bisimilar(p, q, defs, bounds)
-        if verdict.is_bisimilar:
-            verified.append((i, p, q))
-        else:
-            rejected.append(i)
-    checks = 0
-    agreeing = 0
-    unknown = 0
-    findings: list[CongruenceFinding] = []
-    for i, p, q in verified:
-        alphabet = sorted(action_names_of(p) | action_names_of(q) | {"z"})
-        for _ in range(n_contexts):
-            ctx = random_context(rng, alphabet)
-            try:
-                filled_p = apply_context(ctx, p)
-                filled_q = apply_context(ctx, q)
-            except IllFormedPlacement:
-                continue
-            checks += 1
-            verdict = bisimilar(filled_p, filled_q, defs, bounds)
-            if verdict.is_bisimilar:
-                agreeing += 1
-            elif verdict.outcome == UNKNOWN:
-                unknown += 1
-            else:
-                findings.append(CongruenceFinding(i, ctx, verdict))
-    return CongruenceReport(
-        verified_pairs=len(verified),
-        rejected_pairs=tuple(rejected),
-        contexts_per_pair=n_contexts,
-        checks=checks,
-        bisimilar_checks=agreeing,
-        unknown_checks=unknown,
-        counterexamples=tuple(findings),
-    )

@@ -10,7 +10,6 @@ Grammar, loosest to tightest (both binary operators associate right):
              | '[' action '#' INT ']' '.' prefix    -- INT from 1 to MAX_IDENT
              | '[' action '#' INT ']' ':' prefix
              | NAME                      -- constant
-             | '[]'                      -- context hole
              | '(' par ')'
     action  := '~'? NAME                 -- NAME may not be 'tau'
 
@@ -33,7 +32,6 @@ from typing import Callable, Optional
 
 from .errors import DuplicateDefinition, IllFormedPlacement, ParseError, TauInPrefix
 from .syntax import (
-    HOLE,
     MAX_IDENT,
     NIL,
     Action,
@@ -46,10 +44,9 @@ from .syntax import (
     PrefixConsume,
     Sum,
     Term,
-    check_context,
 )
 
-__all__ = ["parse_process", "parse_context", "parse_definitions", "parse_model"]
+__all__ = ["parse_process", "parse_definitions", "parse_model"]
 
 _RESERVED = "tau"
 
@@ -137,7 +134,7 @@ def _not_a_process(tok: _Token) -> ParseError:
     return ParseError(message, line, column)
 
 
-def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, int]:
+def _parse_par(tokens: list[_Token], pos: int) -> tuple[Term, int]:
     """The process that starts at ``tokens[pos]``, and the position after it.
 
     One loop over an explicit operator stack, so that neither nesting nor
@@ -147,7 +144,8 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
     entries that bind tighter than it, so both binary operators nest to the
     right; a ')' or any other token applies all of them down to the nearest
     '('.  The token after the current one decides between a constant and an
-    action, and between a hole and a running prefix."""
+    action, and between a running prefix and a context hole ``[]``, which no
+    process holds."""
     stack: list[tuple[int, Optional[Callable[..., Term]], tuple, _Token]] = []
     while True:
         tok = tokens[pos]
@@ -197,9 +195,6 @@ def _parse_par(tokens: list[_Token], pos: int, allow_hole: bool) -> tuple[Term, 
             term = Const.make(tok[1])
         elif kind == "int" and tok[1] == "0":
             term = NIL
-        elif kind == "[" and allow_hole:
-            term = HOLE
-            pos += 1
         else:
             raise _not_a_process(tok)
         pos += 1
@@ -232,29 +227,18 @@ def _parse_bindings(text: str) -> list[tuple[_Token, Term]]:
         if name[1] == _RESERVED:
             raise ParseError("'tau' is reserved and cannot be defined", name[2], name[3])
         _expect(tokens, pos + 1, ":=")
-        body, pos = _parse_par(tokens, pos + 2, False)
+        body, pos = _parse_par(tokens, pos + 2)
         _expect(tokens, pos, ";")
         pos += 1
         out.append((name, body))
     return out
 
 
-def _parse_term(text: str, allow_hole: bool) -> Term:
-    tokens = _lex(text)
-    term, pos = _parse_par(tokens, 0, allow_hole)
-    _expect(tokens, pos, "eof")
-    return term
-
-
 def parse_process(text: str) -> Term:
     """Parse a configuration (plain processes included) from its text form."""
-    return _parse_term(text, False)
-
-
-def parse_context(text: str) -> Term:
-    """Parse a process-shaped term containing exactly one hole ``[]``."""
-    term = _parse_term(text, True)
-    check_context(term)
+    tokens = _lex(text)
+    term, pos = _parse_par(tokens, 0)
+    _expect(tokens, pos, "eof")
     return term
 
 
@@ -272,7 +256,7 @@ def _parse_equations(text: str, root_name: Optional[str]) -> tuple[Definitions, 
             continue
         if name in bindings:
             raise DuplicateDefinition(f"constant {name!r} is defined twice")
-        if body.mask:  # no hole parses here, so only running prefixes make it no plain process
+        if body.mask:  # running prefixes make it no plain process
             raise ParseError(f"definition body of {name!r} must be a plain process", line, column)
         bindings[name] = body
     return Definitions(bindings), root

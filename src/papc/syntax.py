@@ -23,25 +23,19 @@ one pass, and only the chain's head keeps the text, so a printed chain holds
 text in proportion to its length, not to its square.
 
 Traversal: each node class states its shape once, as ``children()`` (its
-direct subterms, left to right) and ``rebuild(children)`` (the same node over
-new subterms).  `subterms` walks a term in pre-order on an explicit stack,
-visiting a node's children only where ``descend(node)`` holds.  Helpers that
-collect from a term filter that walk; helpers that rewrite a term recurse
-through ``children``/``rebuild``; hot paths prune on ``mask`` directly.
+direct subterms, left to right).  `subterms` walks a term in pre-order on an
+explicit stack, visiting a node's children only where ``descend(node)`` holds.
+Helpers that collect from a term filter that walk; hot paths prune on
+``mask`` directly.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import (
-    ComplementOfTau,
-    IllFormedPlacement,
-    ParseError,
-    TauInPrefix,
-)
+from .errors import ComplementOfTau, IllFormedPlacement, TauInPrefix
 
 __all__ = [
     "Action",
@@ -58,13 +52,9 @@ __all__ = [
     "Const",
     "FrozenConsume",
     "FrozenConserve",
-    "Hole",
-    "HOLE",
     "subterms",
-    "check_context",
     "is_process",
     "constants_of",
-    "action_names_of",
     "format_term",
     "format_action",
     "Definitions",
@@ -242,10 +232,8 @@ class Term(_Interned):
     carries, fixed at construction, ``mask`` (the identifiers of its running
     prefixes as the bits of an int, so that the semantics combines them in
     int operations) and ``n_frozen`` (its running prefixes, repeated
-    identifiers counted); holes are counted by walking.  A node that
-    ``format_term`` printed as the head of a chain keeps the chain's text; the
-    nodes inside the chain keep none.  ``children`` and ``rebuild`` give generic
-    traversals a node's shape: ``t.rebuild(t.children()) is t``.
+    identifiers counted).  A node that ``format_term`` printed as the head of
+    a chain keeps the chain's text; the nodes inside the chain keep none.
     """
 
     __slots__ = ("mask", "n_frozen", "_text")
@@ -262,9 +250,6 @@ class Term(_Interned):
     def children(self) -> tuple[Term, ...]:
         return ()
 
-    def rebuild(self, children: Sequence[Term]) -> Term:
-        return self
-
     def __str__(self) -> str:
         return format_term(self)
 
@@ -280,19 +265,6 @@ class Nil(Term):
 
 
 NIL = Nil()
-
-
-@dataclass(init=False, eq=False)
-class Hole(Term):
-    """The single hole of a context; never part of a configuration."""
-
-    __slots__ = ()
-
-    def _show(self) -> str:
-        return "[]"
-
-
-HOLE = Hole()
 
 
 @dataclass(init=False, eq=False)
@@ -324,7 +296,6 @@ class _Prefix(Term):
     def _init(self, action: Action, cont: Term) -> None:
         if action.name is None:
             raise TauInPrefix("prefix actions range over named actions, not tau")
-        # Holes pass; the check is redone once the hole is filled.
         if cont.mask:
             raise IllFormedPlacement(
                 "a prefix continuation must be a plain process, "
@@ -354,9 +325,6 @@ class _Idle(_Prefix):
     action: Action
     cont: Term
 
-    def rebuild(self, children: Sequence[Term]) -> Term:
-        return self.make(self.action, children[0])
-
     def _head(self) -> str:
         return f"{format_action(self.action)}{self._sep}"
 
@@ -374,9 +342,6 @@ class _Running(_Prefix):
             raise ValueError(f"running-action identifiers run from 1 to {MAX_IDENT}")
         self.ident = ident
         self.mask, self.n_frozen = 1 << ident, 1
-
-    def rebuild(self, children: Sequence[Term]) -> Term:
-        return self.make(self.action, self.ident, children[0])
 
     def _head(self) -> str:
         return f"[{format_action(self.action)}#{self.ident}]{self._sep}"
@@ -450,9 +415,6 @@ class _Binary(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
 
-    def rebuild(self, children: Sequence[Term]) -> Term:
-        return self.make(*children)
-
     def _show(self) -> str | list[Term]:
         # one pass down the right-nested chain of this operator: each left
         # operand's text, parenthesized unless it binds tighter, or else the
@@ -514,29 +476,14 @@ def subterms(term: Term, descend: Optional[Callable[[Term], bool]] = None) -> It
             stack.extend(reversed(node.children()))
 
 
-def check_context(term: Term) -> None:
-    """Raise ParseError unless the term is a context: exactly one hole and
-    no running prefixes."""
-    holes = sum(isinstance(t, Hole) for t in subterms(term))
-    if holes != 1:
-        raise ParseError(f"a context needs exactly one hole, found {holes}")
-    if term.mask:
-        raise ParseError("contexts are process-shaped; no running prefixes allowed")
-
-
 def is_process(term: Term) -> bool:
-    """True when the term has no running prefixes (and no hole)."""
-    return not term.mask and not any(isinstance(t, Hole) for t in subterms(term))
+    """True when the term has no running prefixes."""
+    return not term.mask
 
 
 def constants_of(term: Term) -> Iterator[str]:
     """Yield every constant name occurring in the term (with repeats)."""
     return (t.name for t in subterms(term) if isinstance(t, Const))
-
-
-def action_names_of(term: Term) -> set[str]:
-    """The channel names syntactically present in the term."""
-    return {t.action.name for t in subterms(term) if isinstance(t, _Prefix)}
 
 
 # ---------------------------------------------------------------------------

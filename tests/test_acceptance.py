@@ -10,12 +10,12 @@ import time
 
 import oracle
 from bisim_oracle import joint_space, largest_bisimulation
+from congruence import congruence_probe
 from gen import STANDARD_DEFS, random_configuration, random_process
 from papc.equivalence import (
     BISIMILAR,
     NOT_BISIMILAR,
     bisimilar,
-    congruence_probe,
     verify_witness,
 )
 from papc.lts import Bounds, build, export
@@ -296,7 +296,7 @@ def test_criterion_6_congruence_probe():
     assert probe.verified_pairs >= 20
     assert probe.checks >= 20 * 25
     assert probe.counterexamples == (), [
-        (format_term(f.context), f.verdict.detail) for f in probe.counterexamples
+        (f.context, f.verdict.detail) for f in probe.counterexamples
     ]
     assert probe.bisimilar_checks > probe.checks // 2
     report(

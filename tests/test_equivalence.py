@@ -1,4 +1,5 @@
-"""Bisimilarity checking, witnesses, contexts and the congruence probe."""
+"""Bisimilarity checking, witnesses, and the congruence probe over text
+contexts (``congruence``)."""
 
 import collections
 import dataclasses
@@ -15,6 +16,7 @@ from hypothesis import given, reject, settings
 
 import bisim_oracle
 import strategies
+from congruence import congruence_probe, random_context
 from gen import STANDARD_DEFS, random_process
 from papc.equivalence import (
     BISIMILAR,
@@ -22,15 +24,11 @@ from papc.equivalence import (
     UNKNOWN,
     WitnessStep,
     _Explorer,
-    apply_context,
     bisimilar,
-    congruence_probe,
-    random_context,
     verify_witness,
 )
-from papc.errors import IllFormedPlacement, ParseError
 from papc.lts import Bounds
-from papc.parsing import parse_context, parse_definitions, parse_process
+from papc.parsing import parse_definitions, parse_process
 from papc.semantics import (
     CompleteConservative,
     CompletePreemptive,
@@ -38,8 +36,7 @@ from papc.semantics import (
     all_steps,
     label_text,
 )
-from papc.syntax import (HOLE, NIL, Action, EMPTY_DEFINITIONS, FrozenConsume, Hole, Par, Sum,
-                         format_term, subterms)
+from papc.syntax import NIL, Action, EMPTY_DEFINITIONS, Par, Sum, format_term
 
 REPLICATOR_DEFS = parse_definitions("C1 := a.(C1 | C1); C2 := a:C2;")
 SMALL = Bounds(max_states=60, max_depth=6)
@@ -274,13 +271,10 @@ def test_a_finished_explorer_stores_no_step_the_collector_tracks(explorers):
 
 def test_a_system_step_mode_is_refused():
     # bisimilarity compares all four relations, so a system-mode bound would
-    # be ignored; it is refused instead, also by a probe with no pairs
+    # be ignored; it is refused instead
     p = parse_process("a.0")
-    system = Bounds(step_mode="system")
     with pytest.raises(ValueError, match="step mode 'system'"):
-        bisimilar(p, p, EMPTY_DEFINITIONS, system)
-    with pytest.raises(ValueError, match="step mode 'system'"):
-        congruence_probe([], EMPTY_DEFINITIONS, bounds=system)
+        bisimilar(p, p, EMPTY_DEFINITIONS, Bounds(step_mode="system"))
 
 
 # ---------------------------------------------------------------------------
@@ -447,53 +441,11 @@ def test_laws_that_hold_on_small_spaces(law, p, q, r):
 # contexts
 
 
-def test_apply_context_fills_the_hole():
-    ctx = parse_context("[] + b.0")
-    assert format_term(apply_context(ctx, parse_process("a.0"))) == "a.0 + b.0"
-
-
-def test_apply_context_parallel():
-    ctx = parse_context("[] | ~a.0")
-    assert format_term(apply_context(ctx, parse_process("a.0"))) == "a.0 | ~a.0"
-
-
-@pytest.mark.parametrize("repeat", ["a.", "a.0 | "], ids=["deep", "wide"])
-def test_apply_context_fills_any_depth_at_the_default_recursion_limit(repeat):
-    text = repeat * 10_000
-    assert sys.getrecursionlimit() < 10_000
-    filled = apply_context(parse_context(text + "[]"), parse_process("b.0"))
-    assert filled is parse_process(text + "b.0")
-
-
-def test_apply_context_rebuilds_only_the_path_to_the_hole():
-    ctx = parse_context("(a.0 | [] + c.0) | ~a.0")
-    filled = apply_context(ctx, parse_process("b.0"))
-    assert filled is parse_process("(a.0 | b.0 + c.0) | ~a.0")
-    assert filled.left.left is ctx.left.left and filled.right is ctx.right
-
-
-def test_apply_context_rejects_frozen_under_prefix():
-    ctx = parse_context("c.[]")
-    with pytest.raises(IllFormedPlacement):
-        apply_context(ctx, parse_process("[a#1].0"))
-
-
-def test_apply_context_rejects_what_parse_context_rejects():
-    running = FrozenConsume(Action("a"), 1, NIL)
-    filler = parse_process("b.0")
-    for ctx in (FrozenConsume(Action("a"), 1, HOLE), Par(running, HOLE)):
-        assert sum(isinstance(t, Hole) for t in subterms(ctx)) == 1
-        with pytest.raises(ParseError):
-            parse_context(format_term(ctx))
-        with pytest.raises(ParseError):
-            apply_context(ctx, filler)
-
-
 def test_random_contexts_have_one_hole():
     rng = random.Random(5)
     for _ in range(200):
         ctx = random_context(rng, ["a", "b"])
-        assert sum(isinstance(t, Hole) for t in subterms(ctx)) == 1
+        assert ctx.count("[]") == 1
 
 
 # ---------------------------------------------------------------------------

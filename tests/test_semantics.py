@@ -44,7 +44,9 @@ from papc.syntax import (
     FrozenConserve,
     FrozenConsume,
     Par,
+    PrefixConserve,
     PrefixConsume,
+    Sum,
     TAU,
     Term,
     format_term,
@@ -109,10 +111,15 @@ def test_rename_id_collision_rejected():
 
 
 def _renamed(term, old, new):
-    # the reference: rebuild every node, renaming each running prefix on ``old``
+    # the reference: rebuild every node through its class, renaming each
+    # running prefix on ``old``
     if isinstance(term, (FrozenConsume, FrozenConserve)):
         return type(term)(term.action, new if term.ident == old else term.ident, term.cont)
-    return term.rebuild([_renamed(child, old, new) for child in term.children()])
+    if isinstance(term, (Sum, Par)):
+        return type(term)(_renamed(term.left, old, new), _renamed(term.right, old, new))
+    if isinstance(term, (PrefixConsume, PrefixConserve)):
+        return type(term)(term.action, _renamed(term.cont, old, new))
+    return term
 
 
 def _made_from(found):

@@ -25,15 +25,13 @@ from papc.errors import (
     ParseError,
     TauInPrefix,
 )
-from papc.parsing import parse_context, parse_definitions, parse_model, parse_process
+from papc.parsing import parse_definitions, parse_model, parse_process
 from papc.syntax import (
     Action,
     Const,
     Definitions,
     FrozenConserve,
     FrozenConsume,
-    HOLE,
-    Hole,
     NIL,
     Nil,
     Par,
@@ -42,8 +40,6 @@ from papc.syntax import (
     Sum,
     TAU,
     Term,
-    action_names_of,
-    check_context,
     complement,
     constants_of,
     format_term,
@@ -238,7 +234,8 @@ PARSE_ERRORS = [
      "process, but b.0 + [c#2].0 contains running prefixes", 1, 6),
     ("process", "a.(b.[c#1].0 + d.(\n", ParseError, "a prefix continuation must be a plain "
      "process, but [c#1].0 contains running prefixes", 1, 5),
-    ("context", "a.[] | ([b#1].0", ParseError, "expected ')', found 'end of input'", 1, 16),
+    ("process", "[] + b.0", ParseError, "context hole '[]' is not allowed here", 1, 1),
+    ("model", "X := a.[] + b.0;", ParseError, "context hole '[]' is not allowed here", 1, 8),
     ("model", "X := (a.0;", ParseError, "expected ')', found ';'", 1, 10),
     ("model", "X := a.0 | ;", ParseError, "expected a process, found ';'", 1, 12),
     ("model", "X := a.b.[c#1].0;", ParseError, "a prefix continuation must be a plain "
@@ -246,7 +243,7 @@ PARSE_ERRORS = [
     ("model", "system := a.0 + ;", ParseError, "expected a process, found ';'", 1, 17),
     ("model", "X := a.0 : = b.0;", ParseError, "unexpected character '='", 1, 12),
 ]
-READERS = {"process": parse_process, "context": parse_context, "model": parse_model}
+READERS = {"process": parse_process, "model": parse_model}
 
 
 @pytest.mark.parametrize("reader, text, error, message, line, column", PARSE_ERRORS)
@@ -361,7 +358,7 @@ def reference_text(term, min_prec=0):
         sep = "." if isinstance(term, FrozenConsume) else ":"
         text = f"[{_action_text(term.action)}#{term.ident}]{sep}" + reference_text(term.cont, 3)
     else:
-        text = {Nil: "0", Hole: "[]"}.get(type(term)) or term.name
+        text = "0" if type(term) is Nil else term.name
     return f"({text})" if prec < min_prec else text
 
 
@@ -520,15 +517,12 @@ def _fields_preorder(term):
 def test_traversal_agrees_with_independent_views(config):
     walked = list(subterms(config))
     assert [id(t) for t in walked] == [id(t) for t in _fields_preorder(config)]
-    for node in walked:
-        assert node.rebuild(node.children()) == node
     text = format_term(config)
     assert config.n_frozen == text.count("#")
     assert config.ids == oracle.ids(config)
     assert is_process(config) == oracle.is_plain(config)
     # strategy constants are capitalized, action names are not
     assert sorted(constants_of(config)) == sorted(re.findall(r"[A-Z]", text))
-    assert action_names_of(config) == set(re.findall(r"[a-z]\w*(?=[.:#])", text))
 
 
 # ---------------------------------------------------------------------------
@@ -546,27 +540,10 @@ def test_equal_terms_are_one_interned_object(config, other):
 
 @given(terms)
 def test_cached_counts_agree_with_the_walk(config):
-    for term in (config, Sum(config, HOLE), Par(HOLE, config)):
+    for term in (config, Sum(config, NIL), Par(NIL, config)):
         nodes = list(subterms(term))
         assert term.n_frozen == sum(isinstance(t, (FrozenConsume, FrozenConserve))
                                     for t in nodes)
-
-
-@given(terms, st.lists(st.tuples(st.sampled_from((Sum, Par)), st.booleans()), max_size=2))
-def test_hole_checks_agree_with_the_walk(config, wraps):
-    term = config
-    for node, hole_first in wraps:  # each wrap adds one hole
-        term = node(HOLE, term) if hole_first else node(term, HOLE)
-    holes = sum(isinstance(t, Hole) for t in subterms(term))
-    running = any(isinstance(t, (FrozenConsume, FrozenConserve)) for t in subterms(term))
-    assert holes == len(wraps)
-    try:
-        check_context(term)
-        is_context = True
-    except ParseError:
-        is_context = False
-    assert is_context == (holes == 1 and not running)
-    assert is_process(term) == (holes == 0 and not running)
 
 
 @given(strategies.actions, strategies.idents, strategies.pure_terms, terms)
@@ -592,7 +569,7 @@ def test_the_bound_constructor_returns_the_class_calls_value(action, ident, cont
                       (FrozenConsume, (action, ident, cont)),
                       (FrozenConserve, (action, ident, cont)),
                       (Sum, (cont, other)), (Par, (other, cont)), (Const, (action.name,)),
-                      (Action, (action.name, action.complemented)), (Nil, ()), (Hole, ())):
+                      (Action, (action.name, action.complemented)), (Nil, ())):
         found = cls.find(*args)
         made = syntax._made
         value = cls.make(*args)
@@ -633,7 +610,7 @@ def test_a_failed_construction_raises_alike_and_enters_nothing(construction, nam
     assert cls.find(*args) == (cls, *args)
 
 
-@given(terms | st.just(HOLE), terms | st.just(HOLE), st.sampled_from((Sum, Par)))
+@given(terms | st.just(NIL), terms | st.just(NIL), st.sampled_from((Sum, Par)))
 def test_a_binary_node_is_counted_once_and_entered_while_it_lives(left, right, node):
     # Sum and Par build in their own __new__; it must keep the interning
     # protocol: one count per new value (the memo guard reads it), none on a
@@ -734,13 +711,25 @@ def test_definition_bodies_must_be_plain():
         parse_definitions("X := [a#1].0;")
 
 
-@pytest.mark.parametrize("body", ["[b#1].0", "a.[] + b.0"])
+@pytest.mark.parametrize("body", ["[b#1].0"])
 def test_definitions_refuse_a_body_that_is_not_a_plain_process(body):
     # completions never unfold a constant: with X := [b#1].0, X | X derived
     # no completion of the running b, yet validate found nothing wrong
-    term = parse_context(body) if "[]" in body else parse_process(body)
     with pytest.raises(ValueError, match="not a plain process"):
-        Definitions({"X": term})
+        Definitions({"X": parse_process(body)})
+
+
+def test_definitions_check_bodies_without_walking_them(monkeypatch):
+    # a body's running prefixes are its cached mask, so the check reads that
+    # and walks no body
+    def no_walk(*args, **kwargs):
+        raise AssertionError("Definitions walked a body")
+
+    monkeypatch.setattr(syntax, "subterms", no_walk)
+    body = parse_process("a.(b.0 | c:(C + ~d.0)) + (e.0 | f.0)")
+    assert Definitions({"X": body}).bindings["X"] is body
+    with pytest.raises(ValueError, match="not a plain process"):
+        Definitions({"X": parse_process("[b#1].0")})
 
 
 @pytest.mark.parametrize("name", ["x y", "tau"])
@@ -804,12 +793,3 @@ def test_parse_model_allows_frozen_root():
 def test_parse_model_duplicate_system_rejected():
     with pytest.raises(DuplicateDefinition):
         parse_model("system := 0; system := 0;")
-
-
-def test_parse_context_examples():
-    ctx = parse_context("[] + b.0")
-    assert isinstance(ctx, Sum)
-    with pytest.raises(ParseError):
-        parse_context("a.0 + b.0")  # no hole
-    with pytest.raises(ParseError):
-        parse_context("[] + []")  # two holes
