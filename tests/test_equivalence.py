@@ -438,7 +438,7 @@ def test_laws_that_hold_on_small_spaces(law, p, q, r):
 
 
 # ---------------------------------------------------------------------------
-# contexts
+# text contexts and congruence probing
 
 
 def test_random_contexts_have_one_hole():
@@ -446,10 +446,6 @@ def test_random_contexts_have_one_hole():
     for _ in range(200):
         ctx = random_context(rng, ["a", "b"])
         assert ctx.count("[]") == 1
-
-
-# ---------------------------------------------------------------------------
-# congruence probing
 
 
 def test_probe_reflexive_pair_yields_no_counterexamples():
