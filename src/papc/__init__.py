@@ -4,9 +4,7 @@ construction, and higher-order bisimulation checking."""
 
 from .errors import (
     CapExceeded,
-    ComplementOfTau,
     DuplicateDefinition,
-    IdentifierCollision,
     IllFormedPlacement,
     NoRoot,
     PapcError,
@@ -17,7 +15,6 @@ from .errors import (
 from .syntax import (
     Action,
     TAU,
-    complement,
     MAX_IDENT,
     Term,
     Nil,
@@ -49,8 +46,6 @@ from .semantics import (
     Transition,
     label_text,
     transition_sort_key,
-    actions_at,
-    rename_id,
     handshake_steps,
     interrupt_steps,
     preemptive_completions,

@@ -5,10 +5,6 @@ class PapcError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ComplementOfTau(PapcError):
-    """The internal action tau has no complement."""
-
-
 class ParseError(PapcError):
     """Malformed concrete syntax, with source position: a line, and a column
     counted from 1 where one is known."""
@@ -26,10 +22,6 @@ class TauInPrefix(ParseError):
 
 class DuplicateDefinition(PapcError):
     """The same constant is bound twice in one definitions file."""
-
-
-class IdentifierCollision(PapcError):
-    """An identifier renaming would merge two distinct running actions."""
 
 
 class UnguardedRecursion(PapcError):

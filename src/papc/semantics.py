@@ -33,15 +33,11 @@ by ``transition_sort_key``.
 
 Successive states of a build share most of their subterms as the same
 interned nodes, so ``all_steps``, ``system_steps``, ``handshake_steps`` and
-``interrupt_steps`` take an optional memo: each relation stores what its
-non-trivial subterms derive (with the part of the budget they hold), never
-the state itself, so states derive a shared subterm once.  Derivation stays
-pure: entries depend on the definitions, so a memo serves one call and its
-owner drops it, ``lts.build`` per build and the ``bisimilar`` explorer per
-check.  Identifier sets are ints there, bit *i* for identifier *i* as in
-``Term.mask`` (``a & ~b`` is ``a - b``), so steps and memo keys hold no set; a
-label gets its frozensets in ``_transitions``.  A start whose fresh identifier
-would pass ``MAX_IDENT`` raises ``CapExceeded``.
+``interrupt_steps`` take an optional ``Memo`` in which states derive a shared
+subterm once.  Identifier sets are ints there, bit *i* for identifier *i* as
+in ``Term.mask`` (``a & ~b`` is ``a - b``), so steps and memo keys hold no
+set; a label gets its frozensets in ``_transitions``.  A start whose fresh
+identifier would pass ``MAX_IDENT`` raises ``CapExceeded``.
 
 CP and CC come from one completion pass under a demand budget: steps whose
 demand can no longer be cancelled on the way to the root are never built.
@@ -50,12 +46,10 @@ derived directly rather than filtered out of ``all_steps``.  Its root frame
 keeps only closed-system steps: it wraps only tau starts and tau preemptive
 completions, enumerates no interrupt for a visible completion and builds no
 conservative one.  The root's children are derived in full, as a coupling at
-the root reads their visible steps, and the memo only ever holds full
-results: the root's own derivation is never stored, and a root that hits the
-memo filters the full entry it reads.  Interrupt
-choices multiply per running prefix, so I, CP, CC, ``all_steps`` and
-``system_steps`` all first check the same cap over the top-level parallel
-components, and raise ``CapExceeded`` instead of sampling.
+the root reads their visible steps, and a root that hits the memo filters the
+full entry it reads.  Interrupt choices multiply per running prefix, so I, CP,
+CC, ``all_steps`` and ``system_steps`` all first check the same cap over the
+top-level parallel components, and raise ``CapExceeded`` instead of sampling.
 
 A caller that keeps only transitions into targets it already knows passes
 them as ``known`` to the same four functions: the steps into other targets
@@ -74,10 +68,7 @@ the stand-ins of the same term.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
-differ in arity, so never compare equal.  Equal H, I and CP labels are one
-object from a bounded table (``_shared_labels``) that prints and orders each
-once.  CC labels hold their continuation, so they are never shared and print
-and order at every call; each empty set in a label is the one ``_EMPTY``.
+differ in arity, so never compare equal.
 """
 
 from __future__ import annotations
@@ -86,7 +77,7 @@ import itertools
 from typing import Collection, Container, Iterable, NamedTuple, Optional, Union
 
 from . import syntax
-from .errors import CapExceeded, IdentifierCollision, UnguardedRecursion
+from .errors import CapExceeded, UnguardedRecursion
 from .syntax import (
     TAU,
     Action,
@@ -115,8 +106,6 @@ __all__ = [
     "Transition",
     "label_text",
     "transition_sort_key",
-    "actions_at",
-    "rename_id",
     "handshake_steps",
     "interrupt_steps",
     "preemptive_completions",
@@ -128,17 +117,16 @@ __all__ = [
 
 INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 
-# Subterm derivations under one set of definitions, owned by one ``lts.build``
-# call or one ``bisimilar`` check.  Tuples in derivation order, keyed by the
-# unfolded Sum or Par node (``_h``), ``(node, allowed & node.mask)`` (``_interrupts``)
-# or ``(outer & node.mask, node)`` (``_completions``; reversed, so never equal).
+# What the non-trivial subterms of states derive, with the part of the budget
+# they hold.  Entries depend on the definitions, so a memo serves one owner,
+# which drops it: ``lts.build`` per build and the ``bisimilar`` explorer per
+# check.  Tuples in derivation order, keyed by the unfolded Sum or Par node
+# (``_h``), ``(node, allowed & node.mask)`` (``_interrupts``) or
+# ``(outer & node.mask, node)`` (``_completions``; reversed, so never equal).
 # An entry keeps the order its steps were first derived in, so a memo never
 # changes derivation order.  The public functions pass ``top``: a state's own
-# derivation is not stored.  Full and ``known`` calls share every entry: a full
-# entry holds only live nodes, which the memo keeps alive, and a stand-in
-# stored by a known call can only go stale once a value is made.  So a full
-# call empties a memo last used by a known call, and so does a known call once
-# a value has been made since the last one.
+# derivation is never stored, so every entry is a full result.  Full and
+# ``known`` calls share every entry (see ``_memo_for``).
 Memo = dict
 
 # The only targets a caller keeps, or None for all.  Steps into other targets
@@ -248,27 +236,7 @@ def transition_sort_key(t: Transition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary functions over configurations
-
-
-def actions_at(ident: int, config: Term) -> frozenset[Action]:
-    """Actions currently running in the configuration under identifier ``ident``."""
-    return frozenset(t.action for t in subterms(config, lambda t: ident > 0 and t.mask >> ident & 1)
-                     if isinstance(t, (FrozenConsume, FrozenConserve)) and t.ident == ident)
-
-
-def rename_id(config: Term, old: int, new: int) -> Term:
-    """Replace identifier ``old`` by ``new`` on every running prefix.
-
-    ``new`` must not already identify a different running action.
-    """
-    if new == old:
-        return config
-    if new > 0 and config.mask >> new & 1:
-        raise IdentifierCollision(
-            f"renaming {old} to {new} would collide in {format_term(config)}"
-        )
-    return _rename(config, old, new) if old > 0 else config
+# identifiers
 
 
 def _rename(config: Term | tuple, old: int, new: int, find: bool = False) -> Term | tuple:
@@ -385,7 +353,10 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 def _set_of(mask: int) -> frozenset[int]:
-    return syntax._bits(mask) if mask else _EMPTY  # every empty set is the one _EMPTY
+    # the indices of the set bits of ``mask``; every empty set is the one _EMPTY
+    if not mask:
+        return _EMPTY
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
 # Equal H, I and CP labels are one object from this table, keyed by the label.
@@ -393,8 +364,9 @@ def _set_of(mask: int) -> frozenset[int]:
 # on a full table empties it first.  Each entry is ``[label, text, sort key]``,
 # the last two computed on first use, so a label prints and orders once while
 # it stays in the table.  ``_transitions`` finds an entry by the step's fields,
-# masks for sets, in ``_step_labels``, emptied with it.  CC labels never enter:
-# they hold their continuation, which the table would keep alive.
+# masks for sets, in ``_step_labels``, emptied with it.  CC labels never enter,
+# so they print and order at every call: they hold their continuation, which
+# the table would keep alive.
 _SHARED_CAP = 1024
 _shared_labels: dict[Label, list] = {}
 _step_labels: dict[tuple, list] = {}
@@ -576,7 +548,11 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
 
 
 def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
-    # the memo, emptied first where it may hold a stale stand-in (see Memo)
+    # The memo, emptied first where it may hold a stale stand-in.  A full entry
+    # holds only live nodes, which the memo keeps alive, and a stand-in stored
+    # by a known call can only go stale once a value is made.  So a full call
+    # empties a memo last used by a known call, and so does a known call once a
+    # value has been made since the last one.
     if memo is not None:
         made = memo.get(_KNOWN)
         if made is not None and (known is None or made != syntax._made):

@@ -12,21 +12,10 @@ constructors enforce that.
 
 Every process is a configuration, so a single node hierarchy (`Term`)
 represents both; `is_process` tells them apart.  Nodes and actions are
-immutable and hash-consed through one table: equal values are one interned
-object, so they compare and hash by identity; ``Sum.make(p, q)`` is
-``Sum(p, q)`` built without the class-call layer.  Each node also keeps its
-running-prefix count and its identifiers, as the int ``mask`` with bit *i* set
-where identifier *i* runs (``ids`` gives them as a frozenset); identifiers run
-from 1 to ``MAX_IDENT``.  Printing goes by chains: a right-nested run of one
-binary operator (``a | b | c``), or a run of prefixes (``a.b:c.0``), prints in
-one pass, and only the chain's head keeps the text, so a printed chain holds
-text in proportion to its length, not to its square.
-
-Traversal: each node class states its shape once, as ``children()`` (its
-direct subterms, left to right).  `subterms` walks a term in pre-order on an
-explicit stack, visiting a node's children only where ``descend(node)`` holds.
-Helpers that collect from a term filter that walk; hot paths prune on
-``mask`` directly.
+immutable and interned (see "interning" below).  Each node class states its
+shape once, as ``children()`` (its direct subterms, left to right), which
+`subterms` walks; helpers that collect from a term filter that walk, and hot
+paths prune on ``mask`` directly.
 """
 
 from __future__ import annotations
@@ -35,12 +24,11 @@ import weakref
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import ComplementOfTau, IllFormedPlacement, TauInPrefix
+from .errors import IllFormedPlacement, TauInPrefix
 
 __all__ = [
     "Action",
     "TAU",
-    "complement",
     "MAX_IDENT",
     "Term",
     "Nil",
@@ -86,15 +74,11 @@ __all__ = [
 #
 # A constructor is ``__new__`` itself: lookup, ``_init`` to check and set the
 # fields, then the ``_made`` count and the entry, so a construction that raises
-# changes neither.  A named action and its complement are made together, the
-# complement once the action's own fields have passed the checks, and each
-# links the other as ``partner``, so while one is live so is the other.  The
-# pair is a reference cycle, which the cyclic collector frees: the table's
-# weak references keep neither alive.  ``Sum`` and ``Par``, most of the nodes
-# a derivation builds, set theirs in ``_Binary.__new__``: one frame.  ``make``
-# is that ``__new__`` bound to its class: ``Sum.make(p, q) is Sum(p, q)``
-# without the class call's ``type.__call__`` layer.  Derivation and parsing
-# call it; class calls still work everywhere else.
+# changes neither.  ``Sum`` and ``Par``, most of the nodes a derivation
+# builds, set theirs in ``_Binary.__new__``: one frame.  ``make`` is that
+# ``__new__`` bound to its class: ``Sum.make(p, q) is Sum(p, q)`` without the
+# class call's ``type.__call__`` layer.  Derivation and parsing call it; class
+# calls still work everywhere else.
 
 
 class _Ref(weakref.ref):
@@ -150,11 +134,14 @@ class Action(_Interned):
     """A channel name with a polarity, or the internal action tau.
 
     ``name is None`` encodes tau, which carries no polarity and cannot be
-    complemented.  Actions are interned: they compare and hash by identity.
-    A named action is made together with its complement, and each holds the
-    other as ``partner``, so coupling compares ``partner`` by identity and
-    looks nothing up; ``TAU.partner`` is None.  ``partner`` is a slot, not a
-    field: it takes no part in construction, copying or ``repr``.
+    complemented.  A named action is made together with its complement, the
+    complement once the action's own fields have passed the checks, and each
+    holds the other as ``partner``, so while one is live so is the other, and
+    coupling compares ``partner`` by identity and looks nothing up;
+    ``TAU.partner`` is None.  The pair is a reference cycle, which the cyclic
+    collector frees: the table's weak references keep neither alive.
+    ``partner`` is a slot, not a field: it takes no part in construction,
+    copying or ``repr``.
     """
 
     __slots__ = ("name", "complemented", "partner")
@@ -190,13 +177,6 @@ def _check_name(name: str) -> None:
         raise ValueError(f"{name!r} is not a name: it would not parse back as one")
 
 
-def complement(action: Action) -> Action:
-    """Flip the polarity of a named action; complementing twice is identity."""
-    if action.name is None:
-        raise ComplementOfTau("tau has no complement")
-    return Action(action.name, not action.complemented)
-
-
 def format_action(action: Action) -> str:
     if action.name is None:
         return "tau"
@@ -210,11 +190,6 @@ def format_action(action: Action) -> str:
 MAX_IDENT = 2 ** 16  # the largest running-action identifier
 
 
-def _bits(mask: int) -> frozenset[int]:
-    """The indices of the set bits of ``mask``."""
-    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
-
-
 # Binding strength, loosest to tightest: `|` < `+` < prefix.  Both binary
 # operators associate to the right, so a left operand of its own kind needs
 # parentheses while a right operand does not.
@@ -226,14 +201,11 @@ _PREC_ATOM = 3
 class Term(_Interned):
     """Base class of all process/configuration nodes.
 
-    Nodes are interned like actions and never change after construction:
-    building a node equal to a live one returns that one, so ``==`` is
-    ``is`` and ``hash`` is the identity hash.  Next to its fields each node
-    carries, fixed at construction, ``mask`` (the identifiers of its running
-    prefixes as the bits of an int, so that the semantics combines them in
-    int operations) and ``n_frozen`` (its running prefixes, repeated
-    identifiers counted).  A node that ``format_term`` printed as the head of
-    a chain keeps the chain's text; the nodes inside the chain keep none.
+    Next to its fields each node carries, fixed at construction, ``mask``
+    (bit *i* set where a running prefix has identifier *i*, so that the
+    semantics combines identifier sets in int operations) and ``n_frozen``
+    (its running prefixes, repeated identifiers counted).  ``_text`` is set
+    by ``format_term``.
     """
 
     __slots__ = ("mask", "n_frozen", "_text")
@@ -241,11 +213,6 @@ class Term(_Interned):
 
     def _init(self) -> None:  # the leaves
         self.mask, self.n_frozen, self._text = 0, 0, None
-
-    @property
-    def ids(self) -> frozenset[int]:
-        """The identifiers of the running prefixes: the set bits of ``mask``."""
-        return _bits(self.mask)
 
     def children(self) -> tuple[Term, ...]:
         return ()

@@ -2,8 +2,9 @@
 
 Each derivation rule of the calculus is transcribed directly, one clause per
 rule, with its own identifier bookkeeping and subset enumeration.  Nothing
-is shared with the engine beyond the AST node types and the action
-complement, so a transcription mistake in the engine cannot hide here.
+is shared with the engine beyond the node and action types and ``TAU``; the
+complement of an action is built here by name, not read from its ``partner``
+link, so a transcription mistake in the engine cannot hide here.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from papc.syntax import (
+    Action,
     Const,
     FrozenConserve,
     FrozenConsume,
@@ -19,10 +21,13 @@ from papc.syntax import (
     PrefixConsume,
     Sum,
     TAU,
-    complement,
 )
 
 EMPTY = frozenset()
+
+
+def complement(a):
+    return Action(a.name, not a.complemented)
 
 
 def ids(c):

@@ -25,7 +25,6 @@ from papc.semantics import (
     CompletePreemptive,
     Handshake,
     Interrupt,
-    actions_at,
     all_steps,
     conservative_completions,
     handshake_steps,
@@ -41,7 +40,6 @@ from papc.syntax import (
     PrefixConsume,
     Sum,
     TAU,
-    complement,
     format_term,
 )
 
@@ -173,12 +171,13 @@ def test_criterion_4_oracle_equivalence():
     report(4, f"oracle equivalence on {checked} configurations", started, 60.0)
 
 
-def _frozen_with(term, ident):
+def _actions_with(term, ident):
+    # the actions of the running prefixes identified by ``ident``, one per prefix
     if isinstance(term, (FrozenConsume, FrozenConserve)):
-        return int(term.ident == ident)
+        return [term.action] if term.ident == ident else []
     if isinstance(term, (Sum, Par)):
-        return _frozen_with(term.left, ident) + _frozen_with(term.right, ident)
-    return 0
+        return _actions_with(term.left, ident) + _actions_with(term.right, ident)
+    return []
 
 
 def test_criterion_5_invariant_suite():
@@ -189,7 +188,9 @@ def test_criterion_5_invariant_suite():
     # complement is an involution
     for _ in range(n):
         action = Action(rng.choice("abgxyz"), rng.random() < 0.5)
-        assert complement(complement(action)) == action
+        assert action.partner.partner is action
+        assert action.partner.name == action.name
+        assert action.partner.complemented != action.complemented
 
     # printing then reparsing is the identity
     for i in range(n):
@@ -216,8 +217,8 @@ def test_criterion_5_invariant_suite():
         config = random_configuration(rng, depth=4, max_frozen=3)
         for t in handshake_steps(config, STANDARD_DEFS):
             label = t.label
-            assert label.ident not in config.ids
-            assert t.target.ids == config.ids | {label.ident}
+            assert label.ident not in oracle.ids(config)
+            assert oracle.ids(t.target) == oracle.ids(config) | {label.ident}
 
     # coupled tau starts freeze one complementary prefix on each side
     coupling_checks = 0
@@ -232,23 +233,21 @@ def test_criterion_5_invariant_suite():
             if t.label.action is not TAU:
                 continue
             ident = t.label.ident
-            assert ident not in config.ids
+            assert ident not in oracle.ids(config)
             assert isinstance(t.target, Par)
             # a tau start couples at this composition only when both sides
             # gained the identifier; otherwise one side propagated a nested
             # coupling and holds both ends itself
-            sides_gained = [ident in t.target.left.ids,
-                            ident in t.target.right.ids]
+            sides_gained = [ident in oracle.ids(t.target.left),
+                            ident in oracle.ids(t.target.right)]
             if not all(sides_gained):
                 assert any(sides_gained)
                 continue
-            assert _frozen_with(t.target.left, ident) == 1
-            assert _frozen_with(t.target.right, ident) == 1
-            left_actions = actions_at(ident, t.target.left)
-            right_actions = actions_at(ident, t.target.right)
+            left_actions = _actions_with(t.target.left, ident)
+            right_actions = _actions_with(t.target.right, ident)
             assert len(left_actions) == 1 and len(right_actions) == 1
-            (la,), (ra,) = tuple(left_actions), tuple(right_actions)
-            assert ra == complement(la)
+            (la,), (ra,) = left_actions, right_actions
+            assert ra is la.partner
             coupling_checks += 1
 
     # interrupt labels say exactly which identifiers were rolled back
@@ -256,8 +255,8 @@ def test_criterion_5_invariant_suite():
         config = random_configuration(rng, depth=4, max_frozen=3)
         for t in interrupt_steps(config, STANDARD_DEFS):
             rolled = t.label.idents
-            assert rolled <= config.ids
-            assert t.target.ids == config.ids - rolled
+            assert rolled <= oracle.ids(config)
+            assert oracle.ids(t.target) == oracle.ids(config) - rolled
 
     report(5, "invariant suite (6 x >= 10^4 instances)", started, 60.0)
 

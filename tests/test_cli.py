@@ -35,8 +35,7 @@ def run_process(argv, hash_seed=0):
     """Run papc in a fresh interpreter under the given hash seed."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(hash_seed))
     return subprocess.run(
-        [sys.executable, "-c", "import sys; from papc.cli import main; sys.exit(main())",
-         *argv], capture_output=True, env=env, check=False)
+        [sys.executable, "-m", "papc.cli", *argv], capture_output=True, env=env, check=False)
 
 
 # ---------------------------------------------------------------------------

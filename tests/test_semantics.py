@@ -15,10 +15,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import oracle
 import strategies
 from gen import random_configuration
 from papc import semantics, syntax
-from papc.errors import CapExceeded, IdentifierCollision, PapcError, UnguardedRecursion
+from papc.errors import CapExceeded, PapcError, UnguardedRecursion
 from papc.lts import Bounds, build, export
 from papc.parsing import parse_definitions, parse_process
 from papc.semantics import (
@@ -27,14 +28,12 @@ from papc.semantics import (
     Handshake,
     Interrupt,
     Transition,
-    actions_at,
     all_steps,
     conservative_completions,
     handshake_steps,
     interrupt_steps,
     label_text,
     preemptive_completions,
-    rename_id,
     system_steps,
     transition_sort_key,
 )
@@ -69,45 +68,30 @@ def labelled(transitions):
 
 def test_id_set_collects_running_identifiers():
     config = parse_process("[a#1].P + b:Q | [g#2].T")
-    assert config.ids == {1, 2}
+    assert config.mask == 1 << 1 | 1 << 2
 
 
 def test_id_set_of_plain_process_is_empty():
-    assert parse_process("a.(C|C) + g:P").ids == frozenset()
+    assert parse_process("a.(C|C) + g:P").mask == 0
 
 
 def test_id_set_merges_duplicates():
-    assert parse_process("[a#3].0 + [b#3]:0").ids == {3}
-
-
-def test_actions_at():
-    config = parse_process("[a#1].P + b:Q | [g#2].T")
-    assert actions_at(1, config) == {Action("a")}
-    assert actions_at(2, config) == {Action("g")}
-    assert actions_at(7, config) == frozenset()
-    assert actions_at(0, config) == actions_at(-1, config) == frozenset()
+    assert parse_process("[a#3].0 + [b#3]:0").mask == 1 << 3
 
 
 def test_rename_id_single_occurrence():
-    assert rename_id(parse_process("[a#1].0"), 1, 3) == parse_process("[a#3].0")
+    assert semantics._rename(parse_process("[a#1].0"), 1, 3) is parse_process("[a#3].0")
 
 
 def test_rename_id_no_running_prefixes():
     term = parse_process("a.0")
-    assert rename_id(term, 5, 6) == term
-    running = parse_process("[a#1].0")
-    assert rename_id(running, 0, 2) == rename_id(running, -1, 2) == running
+    assert semantics._rename(term, 5, 6) is term
 
 
 def test_rename_id_renames_coupled_sides():
-    got = rename_id(parse_process("[a#1].0 | [~a#1].0"), 1, 2)
-    assert got == parse_process("[a#2].0 | [~a#2].0")
-    assert got.ids == {2}
-
-
-def test_rename_id_collision_rejected():
-    with pytest.raises(IdentifierCollision):
-        rename_id(parse_process("[a#1].0 | [b#2].0"), 1, 2)
+    got = semantics._rename(parse_process("[a#1].0 | [~a#1].0"), 1, 2)
+    assert got is parse_process("[a#2].0 | [~a#2].0")
+    assert got.mask == 1 << 2
 
 
 def _renamed(term, old, new):
@@ -134,12 +118,12 @@ def _made_from(found):
 def test_rename_agrees_with_a_rewrite_of_every_node(config, action, cont, old, new, coupled):
     if coupled:  # a second running prefix on ``old``, as a coupled start leaves
         config = Par(config, FrozenConserve(action, old, cont))
-    assume(new == old or new not in config.ids)
+    assume(new == old or new not in oracle.ids(config))
     found = semantics._rename(config, old, new, True)  # before the renamed term is made
     want = _renamed(config, old, new)
     assert semantics._rename(config, old, new) is want
     assert _made_from(found) is want
-    assert want.ids == {new if i == old else i for i in config.ids}
+    assert oracle.ids(want) == {new if i == old else i for i in oracle.ids(config)}
 
 
 @pytest.mark.parametrize("derive", [handshake_steps, all_steps, system_steps])
@@ -698,9 +682,9 @@ def _frozen_idents(config):
 def test_interrupt_labels_are_sound(config):
     idents = _frozen_idents(config)
     for t in interrupt_steps(config):
-        assert t.label.idents <= config.ids
+        assert t.label.idents <= oracle.ids(config)
         if len(idents) == len(set(idents)):
-            assert t.target.ids == config.ids - t.label.idents
+            assert oracle.ids(t.target) == oracle.ids(config) - t.label.idents
 
 
 @given(strategies.configurations, st.data())
@@ -708,7 +692,7 @@ def test_interrupts_never_yield_a_duplicate_step(config, data):
     # the fan-out is a list that merges nothing, so its steps must be distinct,
     # for any allowed subset, in full and in known mode (whose targets are
     # stand-ins where no term is live), with and without a shared memo
-    allowed = sum(1 << i for i in data.draw(st.sets(st.sampled_from(sorted(config.ids) or [1]))))
+    allowed = sum(1 << i for i in data.draw(st.sets(st.sampled_from(sorted(oracle.ids(config)) or [1]))))
     memo = {}
     for known in ((), None, ()):
         for shared in (None, semantics._memo_for(memo, known)):
@@ -719,8 +703,8 @@ def test_interrupts_never_yield_a_duplicate_step(config, data):
 @given(strategies.configurations)
 def test_handshake_identifiers_are_fresh(config):
     for t in handshake_steps(config, DEFS):
-        assert t.label.ident not in config.ids
-        assert t.target.ids == config.ids | {t.label.ident}
+        assert t.label.ident not in oracle.ids(config)
+        assert oracle.ids(t.target) == oracle.ids(config) | {t.label.ident}
 
 
 @given(strategies.summations)
@@ -728,9 +712,9 @@ def test_sum_completions_consume_the_whole_summation(config):
     # without parallel siblings a completion survives only as its own
     # continuation, so nothing stays running and nothing demanded survives
     for t in preemptive_completions(config):
-        assert t.label.ident in config.ids
-        assert t.label.ident not in t.target.ids
-        assert not (t.label.demanded & t.target.ids)
+        assert t.label.ident in oracle.ids(config)
+        assert t.label.ident not in oracle.ids(t.target)
+        assert not (t.label.demanded & oracle.ids(t.target))
 
 
 @given(strategies.configurations)

@@ -19,7 +19,6 @@ import strategies
 from gen import random_configuration
 from papc import syntax
 from papc.errors import (
-    ComplementOfTau,
     DuplicateDefinition,
     IllFormedPlacement,
     ParseError,
@@ -40,7 +39,6 @@ from papc.syntax import (
     Sum,
     TAU,
     Term,
-    complement,
     constants_of,
     format_term,
     is_process,
@@ -58,17 +56,12 @@ G = Action("g")
 
 
 def test_complement_flips_polarity():
-    assert complement(Action("a")) == Action("a", True)
-    assert complement(Action("a", True)) == Action("a")
+    assert Action("a").partner is Action("a", True)
+    assert Action("a", True).partner is Action("a")
 
 
 def test_complement_is_an_involution():
-    assert complement(complement(Action("g"))) == Action("g")
-
-
-def test_tau_has_no_complement():
-    with pytest.raises(ComplementOfTau):
-        complement(TAU)
+    assert Action("g").partner.partner is Action("g")
 
 
 def test_tau_carries_no_polarity():
@@ -97,7 +90,7 @@ def test_accepted_names_print_and_parse_back(name):
 def test_actions_are_interned():
     a = Action("a")
     assert Action("a", False) is a and Action("a", True) is not a
-    assert complement(complement(a)) is a
+    assert a.partner.partner is a
     assert copy.deepcopy(a) is a
     assert pickle.loads(pickle.dumps(a)) is a and pickle.loads(pickle.dumps(TAU)) is TAU
     assert Action.__eq__ is object.__eq__ and Action.__hash__ is object.__hash__
@@ -434,13 +427,12 @@ def test_a_printed_prefix_chain_holds_text_in_proportion_to_its_length():
     assert held <= 2 * len(printed)
 
 
-# ``complement`` builds the complement by name, as the oracles that call it
-# must not share the engine's links; the two must agree on every action the
-# generators draw.
+# ``tests/oracle.py`` builds the complement by name, as it must not share the
+# engine's links; the two must agree on every action the generators draw.
 @given(strategies.actions)
 def test_complement_involution_property(action):
-    assert complement(complement(action)) == action
-    assert complement(action) is action.partner
+    assert action.partner.partner is action
+    assert Action(action.name, not action.complemented) is action.partner
 
 
 def test_a_named_action_and_its_complement_link_each_other():
@@ -490,7 +482,7 @@ def test_complement_is_the_partner_on_every_generated_action():
     assert {(a.name, a.complemented) for a in drawn} == {
         (name, polarity) for name in gen.ACTION_NAMES for polarity in (False, True)}
     for action in drawn:
-        assert complement(action) is action.partner
+        assert Action(action.name, not action.complemented) is action.partner
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +511,7 @@ def test_traversal_agrees_with_independent_views(config):
     assert [id(t) for t in walked] == [id(t) for t in _fields_preorder(config)]
     text = format_term(config)
     assert config.n_frozen == text.count("#")
-    assert config.ids == oracle.ids(config)
+    assert config.mask == sum(1 << i for i in oracle.ids(config))
     assert is_process(config) == oracle.is_plain(config)
     # strategy constants are capitalized, action names are not
     assert sorted(constants_of(config)) == sorted(re.findall(r"[A-Z]", text))
@@ -549,7 +541,7 @@ def test_cached_counts_agree_with_the_walk(config):
 @given(strategies.actions, strategies.idents, strategies.pure_terms, terms)
 def test_constructors_return_the_requested_node(action, ident, cont, other):
     built = []  # kept alive, so that every node below is in the table at once
-    for a in (action, complement(action)):
+    for a in (action, action.partner):
         for cls, args in ((PrefixConsume, (a, cont)), (PrefixConserve, (a, cont)),
                           (FrozenConsume, (a, ident, cont)),
                           (FrozenConserve, (a, ident + 1, cont)),
@@ -624,7 +616,8 @@ def test_a_binary_node_is_counted_once_and_entered_while_it_lives(left, right, n
     assert node.find(left, right) is value and syntax._TABLE[stand_in]() is value
     assert copy.copy(value) is value and pickle.loads(pickle.dumps(value)) is value
     running = [t for t in subterms(value) if isinstance(t, (FrozenConsume, FrozenConserve))]
-    assert value.ids == {t.ident for t in running} and value.n_frozen == len(running)
+    assert value.mask == sum(1 << i for i in {t.ident for t in running})
+    assert value.n_frozen == len(running)
     if new:
         del value
         assert stand_in not in syntax._TABLE
