@@ -53,18 +53,24 @@ top-level parallel components, and raise ``CapExceeded`` instead of sampling.
 
 A caller that keeps only transitions into targets it already knows passes
 them as ``known`` to the same four functions: the steps into other targets
-are then derived but never built as terms or transitions, printed or sorted,
-and each is counted by a None after the transitions that relation
-kept.  ``lts.build`` does this once its state bound is reached.  Such a
-derivation builds its targets with ``find`` and makes no node: a known
-state is alive and so are all its subterms, so a target that needs a node
-no one holds cannot be known, and it is carried as a stand-in instead.
-A node over a stand-in is a stand-in too, made with no lookup, and no
-stand-in is tested against ``known``.  Renaming a stand-in looks its renamed
-form up again, which may be live and known.  The counts stay exact: equal
-steps merge as keys of insertion-ordered dicts (the interrupt fan-out never
-yields two equal steps, see ``_interrupts``), and a stand-in equals exactly
-the stand-ins of the same term.
+are then never built as terms or transitions, printed or sorted, and a None
+after the transitions a relation kept marks that it left some out.
+``lts.build`` does this once its state bound is reached.  Such a derivation
+builds its targets with ``find`` and makes no node: a known state is alive
+and so are all its subterms, so a target that needs a node no one holds
+cannot be known, and it is carried as a stand-in instead.  A node over a
+stand-in is a stand-in too, made with no lookup, and no stand-in is tested
+against ``known``.  Renaming a stand-in looks its renamed form up again,
+which may be live and known, but I, CP and CC never rename a target.  So in
+``all_steps`` and ``interrupt_steps`` every frame below the root passes up
+only its I, CP and CC steps into live targets, and drops the others before
+its parent combines them.  The None stays exact.  The root's 2^n rollback
+choices over its n running prefixes are fewer exactly when a frame dropped
+one.  When no relation shows a None, ``all_steps`` derives the completions
+again, unpruned and with no memo, since it cannot tell whether a frame
+dropped one.  Starts are not pruned, as a renamed stand-in may come alive,
+and ``system_steps`` prunes nothing: its root keeps closed-system steps only,
+so a dropped step could leave it with no None.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -125,15 +131,16 @@ INTERRUPT_CAP = 16  # running prefixes per top-level parallel component
 # ``(outer & node.mask, node)`` (``_completions``; reversed, so never equal).
 # An entry keeps the order its steps were first derived in, so a memo never
 # changes derivation order.  The public functions pass ``top``: a state's own
-# derivation is never stored, so every entry is a full result.  Full and
-# ``known`` calls share every entry (see ``_memo_for``).
+# derivation is never stored, so every entry is a full result, or a pruned
+# one where a known call prunes.  ``_memo_for`` keeps a pruned entry from a
+# call that does not prune; every other entry serves every call.
 Memo = dict
 
 # The only targets a caller keeps, or None for all.  Steps into other targets
 # are derived with ``find``: no node is made for them.
 Known = Optional[Container[Term]]
 
-_KNOWN = object()  # the memo key of ``syntax._made`` as of its last known call
+_KNOWN = object()  # the memo key of ``(syntax._made, system)`` as of its last known call
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +406,17 @@ def _check_cap(config: Term) -> None:
             )
 
 
-def _interrupts(config: Term, allowed: int, memo: Memo | None = None,
-                top: bool = False, find: bool = False) -> Iterable[_IStep]:
+def _live(steps: Iterable[tuple]) -> list[tuple]:
+    # the steps a pruning frame passes up: those into live targets
+    return [step for step in steps if type(step[-1]) is not tuple]
+
+
+def _interrupts(config: Term, allowed: int, memo: Memo | None = None, top: bool = False,
+                find: bool = False, prune: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed = config.mask`` gives the
-    whole relation."""
+    whole relation.  A frame below the root with ``prune`` keeps only its
+    steps into live targets (see the module docstring)."""
     mask = config.mask & allowed
     if not mask:
         return ((0, config),)
@@ -422,8 +435,10 @@ def _interrupts(config: Term, allowed: int, memo: Memo | None = None,
     # choice that rolls back nothing leaves ``config`` itself: no lookup.
     steps = [(lids | rids, make(ltarget, rtarget)) if lids or rids else (0, config)
              for (lids, ltarget), (rids, rtarget) in itertools.product(
-                 _interrupts(config.left, allowed, memo, find=find),
-                 _interrupts(config.right, allowed, memo, find=find))]
+                 _interrupts(config.left, allowed, memo, False, find, prune),
+                 _interrupts(config.right, allowed, memo, False, find, prune))]
+    if prune and not top:
+        steps = _live(steps)
     if memo is not None and not top:
         memo[key] = steps = tuple(steps)
     return steps
@@ -437,7 +452,8 @@ _CCStep = tuple[int, Action, int, Term, Term]  # (l, a, the mask of N, continuat
 
 
 def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool = False,
-                 find: bool = False, system: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
+                 find: bool = False, prune: bool = False,
+                 system: bool = False) -> tuple[Iterable[_CPStep], Iterable[_CCStep]]:
     """The preemptive and conservative completions of ``config`` whose demand
     is a subset of ``outer``.
 
@@ -448,7 +464,9 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
     the root demanding nothing, so it is pruned: the interrupts that would
     add such an identifier are not enumerated at all.  ``outer = config.mask``
     prunes nothing.  Only ``outer & config.mask`` matters.  A root frame with
-    ``system`` builds tau preemptive completions only (see the module docstring).
+    ``system`` builds tau preemptive completions only, and a frame below the
+    root with ``prune`` keeps only its steps into live targets (see the module
+    docstring).
     """
     if not config.mask:
         return (), ()
@@ -473,20 +491,21 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
         # running actions (so fits the budget only if they do), a
         # conservative one those it chose to interrupt
         for this, other, flip in ((left, right, False), (right, left, True)):
-            this_cp, this_cc = _completions(this, outer, memo, find=find)
+            this_cp, this_cc = _completions(this, outer, memo, False, find, prune)
             if system:
                 this_cp, this_cc = _tau(this_cp), ()
             if not other.mask & ~outer:
                 for ident, action, demanded, target in this_cp:
                     cp[ident, action, demanded | other.mask, target] = None
-            choices = _interrupts(other, other.mask & outer, memo, find=find) if this_cc else ()
+            choices = (_interrupts(other, other.mask & outer, memo, False, find, prune)
+                       if this_cc else ())
             for ident, action, demanded, cont, target in this_cc:
                 for interrupted, rest in choices:
                     cc[ident, action, demanded | interrupted, cont,
                        make(rest, target) if flip else make(target, rest)] = None
     else:  # Par
-        cp_left, cc_left = _completions(left, outer | right.mask, memo, find=find)
-        cp_right, cc_right = _completions(right, outer | left.mask, memo, find=find)
+        cp_left, cc_left = _completions(left, outer | right.mask, memo, False, find, prune)
+        cp_right, cc_right = _completions(right, outer | left.mask, memo, False, find, prune)
         wraps = (((_tau(cp_left), (), right, False), (_tau(cp_right), (), left, True)) if system
                  else ((cp_left, cc_left, right, False), (cp_right, cc_right, left, True)))
         for this_cp, this_cc, other, flip in wraps:
@@ -499,7 +518,8 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
                 allowed = held & (demanded | outer)
                 choices = choices_for.get(allowed)
                 if choices is None:
-                    choices = choices_for[allowed] = _interrupts(other, allowed, memo, find=find)
+                    choices = choices_for[allowed] = _interrupts(other, allowed, memo, False, find,
+                                                                 prune)
                 for interrupted, rest in choices:
                     if not required & ~interrupted:
                         cp[ident, action, (demanded | interrupted) & ~required,
@@ -538,6 +558,8 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
                             and not pdem & ~(outer | cdem)):
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
                         cp[ident, TAU, pdem & ~cdem, make(pair, cont)] = None
+    if prune and not top:
+        cp, cc = _live(cp), _live(cc)
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
@@ -547,26 +569,29 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
 # public operations
 
 
-def _memo_for(memo: Memo | None, known: Known) -> Memo | None:
-    # The memo, emptied first where it may hold a stale stand-in.  A full entry
-    # holds only live nodes, which the memo keeps alive, and a stand-in stored
-    # by a known call can only go stale once a value is made.  So a full call
-    # empties a memo last used by a known call, and so does a known call once a
-    # value has been made since the last one.
+def _memo_for(memo: Memo | None, known: Known, system: bool = False) -> Memo | None:
+    # The memo, emptied first where it may hold a stale stand-in or a pruned
+    # entry.  A full entry holds only live nodes, which the memo keeps alive,
+    # and a stand-in stored by a known call can only go stale once a value is
+    # made.  A known call outside ``system_steps`` stores pruned entries, which
+    # only such calls may read.  So a full call empties a memo last used by a
+    # known call, and so does a known call once a value has been made since the
+    # last one, or when the last one was of the other kind.
     if memo is not None:
-        made = memo.get(_KNOWN)
-        if made is not None and (known is None or made != syntax._made):
+        last = memo.get(_KNOWN)
+        if last is not None and (known is None or last != (syntax._made, system)):
             memo.clear()
         if known is not None:
-            memo[_KNOWN] = syntax._made
+            memo[_KNOWN] = (syntax._made, system)
     return memo
 
 
 def _transitions(source: Term, label_class: type, steps: Collection[tuple],
-                 known: Known = None) -> tuple[Transition | None, ...]:
+                 known: Known = None, cut: bool = False) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
-    # With ``known``, a step into another target is counted by a trailing None;
-    # a stand-in is never looked up there, as every known target is live.
+    # With ``known``, a trailing None marks that a step into another target was
+    # left out, here or, where ``cut``, by a pruning frame below; a stand-in is
+    # never looked up, as every known target is live.
     # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
     # label class or Transition overrides it: this builds the same values in C.
     if not steps:
@@ -585,8 +610,8 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
             if known is None or type(target) is not tuple and target in known:
                 entry = get(step[:-1]) or _new_label(label_class, step[:-1])
                 transitions.append(new(Transition, (source, entry[0], target)))
-    if known is not None:
-        transitions += [None] * (len(steps) - len(transitions))
+    if known is not None and (len(transitions) < len(steps) or cut):
+        transitions.append(None)
     return tuple(transitions)
 
 
@@ -602,8 +627,11 @@ def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: M
     """Every rollback combination: one transition per subset of running prefixes."""
     del defs  # interruption never unfolds constants
     _check_cap(config)
-    steps = _interrupts(config, config.mask, _memo_for(memo, known), True, known is not None)
-    return _transitions(config, Interrupt, steps, known)
+    find = known is not None
+    steps = _interrupts(config, config.mask, _memo_for(memo, known), True, find, find)
+    # n running prefixes have 2^n choices: fewer where a pruning frame left some out
+    cut = find and len(steps) < 1 << config.n_frozen
+    return _transitions(config, Interrupt, steps, known, cut)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -630,9 +658,17 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     names sees every derivation."""
     starts = handshake_steps(config, defs, memo, known)
     interrupts = interrupt_steps(config, defs, memo, known)
-    cp, cc = _completions(config, config.mask, _memo_for(memo, known), True, known is not None)
-    return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known)
-            + _transitions(config, CompleteConservative, cc, known))
+    find = known is not None
+    cp, cc = _completions(config, config.mask, _memo_for(memo, known), True, find, find)
+    completions = (_transitions(config, CompletePreemptive, cp, known)
+                   + _transitions(config, CompleteConservative, cc, known))
+    if find and None not in starts + interrupts + completions:
+        # a pruning frame may still have left a completion out: derive the
+        # completions again, unpruned and with no memo
+        cp, cc = _completions(config, config.mask, None, True, True)
+        completions = (_transitions(config, CompletePreemptive, cp, known)
+                       + _transitions(config, CompleteConservative, cc, known))
+    return starts + interrupts + completions
 
 
 def is_system_step(t: Transition) -> bool:
@@ -652,7 +688,7 @@ def system_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     children are derived in full."""
     # starts before the cap check, as in all_steps, so the same error wins
     find = known is not None
-    memo = _memo_for(memo, known)
+    memo = _memo_for(memo, known, system=True)
     starts = _h(config, defs, (), memo, True, find, system=True)
     _check_cap(config)
     cp = _completions(config, 0, memo, True, find, system=True)[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import STANDARD_DEFS, random_process
+from gen import STANDARD_DEFS, random_configuration, random_process
 from papc import syntax
 from papc.cli import load_model
 from papc.lts import Bounds, build, export
@@ -367,5 +367,15 @@ def test_the_bound_reached_partway_through_a_state():
        mode=st.sampled_from(["all", "system"]))
 def test_build_matches_a_naive_builder_on_random_processes(seed, max_states, mode):
     root = random_process(random.Random(seed), 3)
+    assert_builds_like_the_reference(root, STANDARD_DEFS,
+                                     Bounds(max_states=max_states, max_depth=6, step_mode=mode))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_states=st.integers(1, 30),
+       mode=st.sampled_from(["all", "system"]))
+def test_build_matches_a_naive_builder_on_random_configurations(seed, max_states, mode):
+    # roots with running prefixes: rollbacks and completions from the root on
+    root = random_configuration(random.Random(seed))
     assert_builds_like_the_reference(root, STANDARD_DEFS,
                                      Bounds(max_states=max_states, max_depth=6, step_mode=mode))

@@ -559,7 +559,8 @@ def test_transition_order_matches_an_independent_key(config):
 
 @given(strategies.configurations, st.data())
 def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
-    # the steps into other targets are each counted by a None, which trails
+    # the kept transitions are the full ones into known targets, in order,
+    # and a None marks exactly that some other step was left out; it trails
     # its own relation's transitions
     for derive in (handshake_steps, interrupt_steps, all_steps, system_steps):
         full = derive(config, DEFS)
@@ -570,9 +571,9 @@ def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
         kept = [t for t in full if t.target in known]
         steps = derive(config, DEFS, memo, known)
         assert [t for t in steps if t is not None] == kept
-        assert steps.count(None) == len(full) - len(kept)
+        assert (None in steps) == (len(kept) < len(full))
         if derive in (handshake_steps, interrupt_steps):
-            assert steps == (*kept, *[None] * (len(full) - len(kept)))
+            assert steps[:len(kept)] == tuple(kept)
 
 
 @given(strategies.configurations, st.data())
@@ -593,7 +594,36 @@ def test_known_targets_reparsed_after_the_full_result_died_keep_its_transitions(
         steps = derive(config, DEFS, memo, known)
         kept = [(label_text(t.label), format_term(t.target)) for t in steps if t is not None]
         assert kept == [step for step in texts if step[1] in known_texts]
-        assert steps.count(None) == len(texts) - len(kept)
+        assert (None in steps) == (len(kept) < len(texts))
+
+
+def test_a_completion_left_out_below_the_root_is_still_marked():
+    # the completion of a#4 ends in g.0 | 0, which nothing holds, so the Par
+    # frame leaves it out; no other step is left out to show it
+    config = parse_process("0 + (g.0 | [a#4].0)")
+    texts = [str(t) for t in all_steps(config, DEFS)]
+    assert "CP 4 a- {} -> g.0 | 0" in texts
+    gc.collect()
+    assert type(Par.find(config.right.left, NIL)) is tuple
+    known = {config, parse_process("0 + ([g#1].0 | [a#4].0)"), parse_process("0 + (g.0 | a.0)")}
+    steps = all_steps(config, DEFS, None, known)
+    assert [str(t) for t in steps if t is not None] == [t for t in texts if not t.startswith("CP")]
+    assert None in steps
+
+
+def test_a_system_call_reads_no_entry_a_pruning_call_stored():
+    # interrupt_steps stores the rollbacks of [c#2].0 | 0 without the one
+    # into c.0 | 0, which nothing holds.  system_steps needs just that one:
+    # its only step is the coupled completion, whose demand of b#2 the
+    # sibling must interrupt
+    text = "(([a#1].0 + [b#2].0) | [~a#1].0) | ([c#2].0 | 0)"
+    assert [str(t) for t in system_steps(parse_process(text), DEFS)] == [
+        "CP 1 tau- {} -> (0 | 0) | c.0 | 0"]
+    gc.collect()
+    config = parse_process(text)
+    memo = {}
+    interrupt_steps(config, DEFS, memo, {config})
+    assert system_steps(config, DEFS, memo, {config}) == (None,)
 
 
 def test_a_start_renamed_on_its_way_up_reaches_a_known_target_through_a_dead_node():
@@ -605,7 +635,7 @@ def test_a_start_renamed_on_its_way_up_reaches_a_known_target_through_a_dead_nod
     assert type(FrozenConsume.find(Action("sa"), 1, NIL)) is tuple
     steps = handshake_steps(config, DEFS, None, known)
     assert [str(t) for t in steps if t is not None] == ["H 2 sa+ -> ([sa#2].0 | sb.0) | [sc#1].0"]
-    assert steps.count(None) == 1  # the start of sb
+    assert None in steps  # the start of sb
 
 
 # cell-model states with starts in several components, and a mixed
@@ -707,6 +737,22 @@ def test_handshake_identifiers_are_fresh(config):
         assert oracle.ids(t.target) == oracle.ids(config) | {t.label.ident}
 
 
+def test_every_start_takes_the_least_identifier_its_term_leaves_unused():
+    # in the whole configuration and in each Sum and Par subterm, so a parent
+    # renames a child's start exactly where the other child holds its identifier
+    rng = random.Random(3)
+    configs = [*(random_configuration(rng) for _ in range(300)),
+               *build(S, DEFS, Bounds(max_states=300)).states]
+    renamed = 0
+    for config in configs:
+        for term in (config, *(t for t in syntax.subterms(config) if isinstance(t, (Sum, Par)))):
+            fresh = oracle.least_unused(oracle.ids(term))
+            idents = [t.label.ident for t in handshake_steps(term, DEFS)]
+            assert idents == [fresh] * len(idents), format_term(term)
+            renamed += fresh > 1 and len(idents)
+    assert renamed
+
+
 @given(strategies.summations)
 def test_sum_completions_consume_the_whole_summation(config):
     # without parallel siblings a completion survives only as its own
@@ -770,11 +816,17 @@ def test_a_memo_shared_with_known_calls_derives_what_each_call_derives_alone(con
         assert derive(config, DEFS, memo, {t.target for t in full}) == full
 
 
+def _sum_and_par_terms(config):
+    return [config, *(t for t in syntax.subterms(config) if isinstance(t, (syntax.Sum, Par)))]
+
+
 @given(strategies.configurations, st.data())
 def test_a_memo_shared_by_both_step_modes_derives_what_a_fresh_memo_derives(config, data):
     # system_steps filters only its root frame, so a filtered result stored
-    # in the memo would reach a later call on the same term or a larger one
-    terms = [config, *(t for t in syntax.subterms(config) if isinstance(t, (syntax.Sum, Par)))]
+    # in the memo would reach a later call on the same term or a larger one.
+    # A known call keeps the same transitions either way, but how many Nones
+    # mark the steps it left out depends on what the memo held
+    terms = _sum_and_par_terms(config)
     memo = {}
     for _ in range(data.draw(st.integers(2, 6))):
         derive = data.draw(st.sampled_from([all_steps, system_steps]))
@@ -784,7 +836,40 @@ def test_a_memo_shared_by_both_step_modes_derives_what_a_fresh_memo_derives(conf
             targets = sorted({t.target for t in derive(term, DEFS)}, key=format_term)
             known = set(data.draw(st.lists(st.sampled_from(targets), unique=True)
                                   if targets else st.just([])))
-        assert derive(term, DEFS, memo, known) == derive(term, DEFS, {}, known), format_term(term)
+        steps, fresh = derive(term, DEFS, memo, known), derive(term, DEFS, {}, known)
+        if known is None:
+            assert steps == fresh, format_term(term)
+        else:
+            assert [t for t in steps if t is not None] == [t for t in fresh if t is not None]
+            assert (None in steps) == (None in fresh), format_term(term)
+
+
+@given(strategies.configurations, st.data())
+def test_known_calls_sharing_a_memo_mark_a_left_out_step_as_a_full_derivation_does(config, data):
+    # all_steps and interrupt_steps store pruned entries, which must leave no
+    # later known call of either, or of system_steps, without the None a
+    # fresh full derivation calls for.  The full results are kept as text,
+    # so the targets outside ``known`` die and the known calls meet them as
+    # stand-ins; every known set is parsed first, as making a term empties
+    # the memo
+    terms = _sum_and_par_terms(config)
+    calls = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        derive = data.draw(st.sampled_from([all_steps, interrupt_steps, system_steps]))
+        term = data.draw(st.sampled_from(terms))
+        texts = [(label_text(t.label), format_term(t.target)) for t in derive(term, DEFS)]
+        targets = sorted({target for _, target in texts})
+        known_texts = set(data.draw(st.lists(st.sampled_from(targets), unique=True)
+                                    if targets else st.just([])))
+        calls.append((derive, term, texts, known_texts))
+    gc.collect()
+    knowns = [{parse_process(text) for text in known_texts} for *_, known_texts in calls]
+    memo = {}
+    for (derive, term, texts, known_texts), known in zip(calls, knowns):
+        steps = derive(term, DEFS, memo, known)
+        kept = [(label_text(t.label), format_term(t.target)) for t in steps if t is not None]
+        assert kept == [step for step in texts if step[1] in known_texts], format_term(term)
+        assert (None in steps) == (len(kept) < len(texts)), format_term(term)
 
 
 def test_a_known_call_derives_no_subterm_a_full_call_stored(monkeypatch):
