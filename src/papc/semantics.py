@@ -62,15 +62,19 @@ cannot be known, and it is carried as a stand-in instead.  A node over a
 stand-in is a stand-in too, made with no lookup, and no stand-in is tested
 against ``known``.  Renaming a stand-in looks its renamed form up again,
 which may be live and known, but I, CP and CC never rename a target.  So in
-``all_steps`` and ``interrupt_steps`` every frame below the root passes up
-only its I, CP and CC steps into live targets, and drops the others before
-its parent combines them.  The None stays exact.  The root's 2^n rollback
-choices over its n running prefixes are fewer exactly when a frame dropped
-one.  When no relation shows a None, ``all_steps`` derives the completions
-again, unpruned and with no memo, since it cannot tell whether a frame
-dropped one.  Starts are not pruned, as a renamed stand-in may come alive,
-and ``system_steps`` prunes nothing: its root keeps closed-system steps only,
-so a dropped step could leave it with no None.
+``all_steps`` and ``interrupt_steps`` every frame below the root passes up,
+of its I, CP and CC steps, those into live targets and the first into a
+stand-in, and drops the others before its parent combines them.  The None
+stays exact, as a stand-in step of a child always yields one of its parent.
+An interrupt combines with the sibling's choice that rolls back nothing.
+In all mode the demand budget covers every identifier, so a completion
+either passes its parent as it is or combines with a choice of the sibling:
+one that rolls back nothing for a conservative completion at a Sum, one that
+rolls back all the sibling holds for a preemptive one at a Par.  Where a
+frame dropped that last choice, the sibling's own interrupts carry a
+stand-in to the root.  Starts are not pruned, as a renamed stand-in may come
+alive, and ``system_steps`` prunes nothing: its root keeps closed-system
+steps only, so a dropped step could leave it with no None.
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -406,17 +410,25 @@ def _check_cap(config: Term) -> None:
             )
 
 
-def _live(steps: Iterable[tuple]) -> list[tuple]:
-    # the steps a pruning frame passes up: those into live targets
-    return [step for step in steps if type(step[-1]) is not tuple]
+def _pruned(steps: Iterable[tuple]) -> list[tuple]:
+    # the steps a pruning frame passes up: those into live targets, and the
+    # first into a stand-in, which marks that the others were left out
+    kept = []
+    marked = False
+    for step in steps:
+        if type(step[-1]) is not tuple:
+            kept.append(step)
+        elif not marked:
+            kept.append(step)
+            marked = True
+    return kept
 
 
 def _interrupts(config: Term, allowed: int, memo: Memo | None = None, top: bool = False,
                 find: bool = False, prune: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed = config.mask`` gives the
-    whole relation.  A frame below the root with ``prune`` keeps only its
-    steps into live targets (see the module docstring)."""
+    whole relation.  For ``prune`` see the module docstring."""
     mask = config.mask & allowed
     if not mask:
         return ((0, config),)
@@ -438,7 +450,7 @@ def _interrupts(config: Term, allowed: int, memo: Memo | None = None, top: bool 
                  _interrupts(config.left, allowed, memo, False, find, prune),
                  _interrupts(config.right, allowed, memo, False, find, prune))]
     if prune and not top:
-        steps = _live(steps)
+        steps = _pruned(steps)
     if memo is not None and not top:
         memo[key] = steps = tuple(steps)
     return steps
@@ -464,9 +476,8 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
     the root demanding nothing, so it is pruned: the interrupts that would
     add such an identifier are not enumerated at all.  ``outer = config.mask``
     prunes nothing.  Only ``outer & config.mask`` matters.  A root frame with
-    ``system`` builds tau preemptive completions only, and a frame below the
-    root with ``prune`` keeps only its steps into live targets (see the module
-    docstring).
+    ``system`` builds tau preemptive completions only; for ``prune`` see the
+    module docstring.
     """
     if not config.mask:
         return (), ()
@@ -559,7 +570,7 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
                         pair = make(ptarget, ctarget) if flip else make(ctarget, ptarget)
                         cp[ident, TAU, pdem & ~cdem, make(pair, cont)] = None
     if prune and not top:
-        cp, cc = _live(cp), _live(cc)
+        cp, cc = _pruned(cp), _pruned(cc)
     if memo is not None and not top:
         memo[key] = cp, cc = tuple(cp), tuple(cc)
     return cp, cc
@@ -587,11 +598,10 @@ def _memo_for(memo: Memo | None, known: Known, system: bool = False) -> Memo | N
 
 
 def _transitions(source: Term, label_class: type, steps: Collection[tuple],
-                 known: Known = None, cut: bool = False) -> tuple[Transition | None, ...]:
+                 known: Known = None) -> tuple[Transition | None, ...]:
     # each step holds its label's fields, then its target; steps are distinct.
     # With ``known``, a trailing None marks that a step into another target was
-    # left out, here or, where ``cut``, by a pruning frame below; a stand-in is
-    # never looked up, as every known target is live.
+    # left out; a stand-in is never looked up, as every known target is live.
     # A named tuple's generated ``__new__`` only calls ``tuple.__new__``, and no
     # label class or Transition overrides it: this builds the same values in C.
     if not steps:
@@ -610,7 +620,7 @@ def _transitions(source: Term, label_class: type, steps: Collection[tuple],
             if known is None or type(target) is not tuple and target in known:
                 entry = get(step[:-1]) or _new_label(label_class, step[:-1])
                 transitions.append(new(Transition, (source, entry[0], target)))
-    if known is not None and (len(transitions) < len(steps) or cut):
+    if known is not None and len(transitions) < len(steps):
         transitions.append(None)
     return tuple(transitions)
 
@@ -629,9 +639,7 @@ def interrupt_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS, memo: M
     _check_cap(config)
     find = known is not None
     steps = _interrupts(config, config.mask, _memo_for(memo, known), True, find, find)
-    # n running prefixes have 2^n choices: fewer where a pruning frame left some out
-    cut = find and len(steps) < 1 << config.n_frozen
-    return _transitions(config, Interrupt, steps, known, cut)
+    return _transitions(config, Interrupt, steps, known)
 
 
 def preemptive_completions(config: Term, defs: Definitions = EMPTY_DEFINITIONS) -> tuple[Transition, ...]:
@@ -660,15 +668,8 @@ def all_steps(config: Term, defs: Definitions = EMPTY_DEFINITIONS,
     interrupts = interrupt_steps(config, defs, memo, known)
     find = known is not None
     cp, cc = _completions(config, config.mask, _memo_for(memo, known), True, find, find)
-    completions = (_transitions(config, CompletePreemptive, cp, known)
-                   + _transitions(config, CompleteConservative, cc, known))
-    if find and None not in starts + interrupts + completions:
-        # a pruning frame may still have left a completion out: derive the
-        # completions again, unpruned and with no memo
-        cp, cc = _completions(config, config.mask, None, True, True)
-        completions = (_transitions(config, CompletePreemptive, cp, known)
-                       + _transitions(config, CompleteConservative, cc, known))
-    return starts + interrupts + completions
+    return (starts + interrupts + _transitions(config, CompletePreemptive, cp, known)
+            + _transitions(config, CompleteConservative, cc, known))
 
 
 def is_system_step(t: Transition) -> bool:

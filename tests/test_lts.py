@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import STANDARD_DEFS, random_configuration, random_process
-from papc import syntax
+from papc import semantics, syntax
 from papc.cli import load_model
 from papc.lts import Bounds, build, export
 from papc.parsing import parse_definitions, parse_process
@@ -215,8 +215,12 @@ def test_a_build_past_its_bound_looks_up_no_node_with_a_stand_in_child(mode):
 
 def test_a_build_keeps_no_term_alive_once_dropped():
     # the derivation memo lives for one build call only; names no other
-    # test uses, so no term of this build was alive before it
+    # test uses, so no term of this build was alive before it.  The label
+    # table may hold the last actions of earlier tests, and a build that
+    # fills it empties it, so it starts empty here
     defs = parse_definitions("Cx := x.(Cx | Cx) + y:0; Ax := ~x.(Ax | Ax); Bx := ~y:0;")
+    semantics._shared_labels.clear()
+    semantics._step_labels.clear()
     gc.collect()
     before = len(syntax._TABLE)
     lts = build(parse_process("Cx | Ax | Bx"), defs, Bounds(max_states=200))

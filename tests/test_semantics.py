@@ -598,8 +598,8 @@ def test_known_targets_reparsed_after_the_full_result_died_keep_its_transitions(
 
 
 def test_a_completion_left_out_below_the_root_is_still_marked():
-    # the completion of a#4 ends in g.0 | 0, which nothing holds, so the Par
-    # frame leaves it out; no other step is left out to show it
+    # the completion of a#4 ends in g.0 | 0, which nothing holds, and no other
+    # step is left out, so the stand-in the Par frame keeps must reach the root
     config = parse_process("0 + (g.0 | [a#4].0)")
     texts = [str(t) for t in all_steps(config, DEFS)]
     assert "CP 4 a- {} -> g.0 | 0" in texts
@@ -612,18 +612,19 @@ def test_a_completion_left_out_below_the_root_is_still_marked():
 
 
 def test_a_system_call_reads_no_entry_a_pruning_call_stored():
-    # interrupt_steps stores the rollbacks of [c#2].0 | 0 without the one
-    # into c.0 | 0, which nothing holds.  system_steps needs just that one:
-    # its only step is the coupled completion, whose demand of b#2 the
-    # sibling must interrupt
-    text = "(([a#1].0 + [b#2].0) | [~a#1].0) | ([c#2].0 | 0)"
+    # [a#2].0 + [g#1]:0 completes g#1 interrupting a#2 or leaving it running.
+    # Nothing holds either target, so the entry all_steps stores keeps only
+    # the first, but system_steps needs the second: only a completion that
+    # demands nothing couples with that of ~g#1
+    text = "([a#2].0 + [g#1]:0) | ([~a#2].0 | [~g#1]:0)"
     assert [str(t) for t in system_steps(parse_process(text), DEFS)] == [
-        "CP 1 tau- {} -> (0 | 0) | c.0 | 0"]
+        "CP 2 tau- {} -> 0 | 0 | ~g:0", "CP 1 tau- {} -> (([a#2].0 + g:0 | [~a#2].0 | ~g:0) | 0) | 0"]
     gc.collect()
-    config = parse_process(text)
+    config, kept = parse_process(text), parse_process("0 | 0 | ~g:0")
     memo = {}
-    interrupt_steps(config, DEFS, memo, {config})
-    assert system_steps(config, DEFS, memo, {config}) == (None,)
+    all_steps(config, DEFS, memo, {config})
+    steps = system_steps(config, DEFS, memo, {kept})
+    assert [str(t) for t in steps[:-1]] == ["CP 2 tau- {} -> 0 | 0 | ~g:0"] and steps[-1] is None
 
 
 def test_a_start_renamed_on_its_way_up_reaches_a_known_target_through_a_dead_node():
