@@ -72,12 +72,10 @@ def build(root: Term, defs: Definitions = EMPTY_DEFINITIONS, bounds: Bounds = Bo
     given the state index as ``known``, so only those edges are built and
     sorted, and the state is truncated if it had any other step.  The
     targets of the other steps are not even built as terms: they are only
-    looked up among the live ones, as every known state is live.  In "all"
-    mode the interrupts and completions into such targets are dropped where
-    they first appear, but for one that marks them, and only a None tells
-    that a step was left out.  A sorted list filtered to known targets
-    equals the filter of the fully sorted list, so the edges are those a
-    full sort would keep.
+    looked up among the live ones, as every known state is live, and a None
+    tells that some step was left out.  A sorted list filtered to known
+    targets equals the filter of the fully sorted list, so the edges are
+    those a full sort would keep.
     """
     derive = system_steps if bounds.step_mode == "system" else all_steps
     memo: dict = {}  # subterm derivations shared by the states; dropped on return

@@ -61,20 +61,8 @@ and so are all its subterms, so a target that needs a node no one holds
 cannot be known, and it is carried as a stand-in instead.  A node over a
 stand-in is a stand-in too, made with no lookup, and no stand-in is tested
 against ``known``.  Renaming a stand-in looks its renamed form up again,
-which may be live and known, but I, CP and CC never rename a target.  So in
-``all_steps`` and ``interrupt_steps`` every frame below the root passes up,
-of its I, CP and CC steps, those into live targets and the first into a
-stand-in, and drops the others before its parent combines them.  The None
-stays exact, as a stand-in step of a child always yields one of its parent.
-An interrupt combines with the sibling's choice that rolls back nothing.
-In all mode the demand budget covers every identifier, so a completion
-either passes its parent as it is or combines with a choice of the sibling:
-one that rolls back nothing for a conservative completion at a Sum, one that
-rolls back all the sibling holds for a preemptive one at a Par.  Where a
-frame dropped that last choice, the sibling's own interrupts carry a
-stand-in to the root.  Starts are not pruned, as a renamed stand-in may come
-alive, and ``system_steps`` prunes nothing: its root keeps closed-system
-steps only, so a dropped step could leave it with no None.
+which may be live and known.  ``all_steps`` and ``interrupt_steps`` also
+drop most steps into stand-ins below the root (see ``_pruned``).
 
 Labels and ``Transition`` are named tuples that compare and hash in C.  A
 label equals the plain tuple of its fields; labels of different relations
@@ -411,8 +399,19 @@ def _check_cap(config: Term) -> None:
 
 
 def _pruned(steps: Iterable[tuple]) -> list[tuple]:
-    # the steps a pruning frame passes up: those into live targets, and the
-    # first into a stand-in, which marks that the others were left out
+    # The I, CP or CC steps a known-mode frame below the root of ``all_steps``
+    # or ``interrupt_steps`` passes up: those into live targets, and the first
+    # into a stand-in, which only marks that the others were left out.  I, CP
+    # and CC never rename a target, so a node over a stand-in is never known.
+    # The mark reaches the root, as a kept stand-in step always yields one at
+    # its parent.  All mode's demand budget covers every identifier, so a CP
+    # at a Sum and a CC at a Par pass as they are.  An interrupt and a CC at a
+    # Sum combine with the sibling's choice that rolls back nothing, whose
+    # target is the live sibling, and a CP at a Par with its full rollback,
+    # the first step of every interrupt list and so always kept.  Starts are
+    # not pruned, as renaming a stand-in may bring it alive, nor is
+    # ``system_steps``: its root keeps closed-system steps only, so a dropped
+    # step might leave no None there.
     kept = []
     marked = False
     for step in steps:
@@ -428,7 +427,7 @@ def _interrupts(config: Term, allowed: int, memo: Memo | None = None, top: bool 
                 find: bool = False, prune: bool = False) -> Iterable[_IStep]:
     """Every rollback choice among the running prefixes whose identifier is in
     ``allowed``; the others stay put, so ``allowed = config.mask`` gives the
-    whole relation.  For ``prune`` see the module docstring."""
+    whole relation.  For ``prune`` see ``_pruned``."""
     mask = config.mask & allowed
     if not mask:
         return ((0, config),)
@@ -476,8 +475,8 @@ def _completions(config: Term, outer: int, memo: Memo | None = None, top: bool =
     the root demanding nothing, so it is pruned: the interrupts that would
     add such an identifier are not enumerated at all.  ``outer = config.mask``
     prunes nothing.  Only ``outer & config.mask`` matters.  A root frame with
-    ``system`` builds tau preemptive completions only; for ``prune`` see the
-    module docstring.
+    ``system`` builds tau preemptive completions only; for ``prune`` see
+    ``_pruned``.
     """
     if not config.mask:
         return (), ()

@@ -573,7 +573,7 @@ def test_known_targets_keep_the_ordered_transitions_into_them(config, data):
         assert [t for t in steps if t is not None] == kept
         assert (None in steps) == (len(kept) < len(full))
         if derive in (handshake_steps, interrupt_steps):
-            assert steps[:len(kept)] == tuple(kept)
+            assert steps == (*kept, *[None] * (len(kept) < len(full)))
 
 
 @given(strategies.configurations, st.data())
